@@ -14,6 +14,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, blaschke_expand
 from .cgp import (
+    DEFAULT_INNER_TRUNCATION,
     RepresentationReport,
     build_monomial_split_frame,
     monomial_split_expected_kernel,
@@ -21,24 +22,16 @@ from .cgp import (
     remark_projection_formula,
     verify_corollary,
 )
-from .defects import (
-    model_space,
-    theorem_defect_space,
-    verify_defect_theorem,
-)
+from .defects import Instance, model_space, verify_defect_theorem
 from .errors import InputError
 from .operators import (
     ConjInnerSymbol,
     InnerSymbol,
     InvertibleProductSymbol,
     PerturbationSpec,
-    Symbol,
     ZeroSymbol,
-    perturbed_matrix,
-    symbol_fourier,
-    toeplitz_matrix,
 )
-from .runner import stability_summary
+from .runner import DEFAULT_TRUNCATION, stability_summary
 from .series import (
     AnalyticSeries,
     backshift,
@@ -51,15 +44,8 @@ from .series import (
     riesz_project,
     taylor_invert,
 )
-from .subspaces import (
-    DEFAULT_RANK_TOL,
-    kernel_subspace,
-    principal_angles,
-    span,
-)
+from .subspaces import DEFAULT_RANK_TOL, principal_angles, span
 
-DEFAULT_TRUNCATION = 128
-DEFAULT_INNER_TRUNCATION = 48
 MIN_CATALOGUE_TRUNCATION = 64
 GAP_FLOOR = 1e-3          # a reproduced representation gap must exceed this
 ANGLE_TOL = 1e-7
@@ -124,46 +110,41 @@ def _orth_against(f: AnalyticSeries, *units: AnalyticSeries) -> AnalyticSeries:
     return _unit(out)
 
 
-def _stability(sym: Symbol, pert: PerturbationSpec, n: int) -> dict:
-    return stability_summary(sym, pert, n)
-
-
-def _defect_details(sym: Symbol, pert: PerturbationSpec, n: int) -> tuple[bool, dict]:
-    report, witness = verify_defect_theorem(sym, pert, n)
+def _defect_details(inst: Instance) -> tuple[bool, dict]:
+    report, witness = verify_defect_theorem(
+        inst.symbol, inst.perturbation, inst.truncation
+    )
     ok = (
-        report.bound_from_theorem is not None
-        and report.defect_dim <= report.bound_from_theorem
-        and bool(report.contained_in_theorem_space)
+        report.passed
         and witness.max_membership_residual < 1e-8
         and witness.max_w_in_space_residual < 1e-8
     )
     details = {
         "defect": report.to_json_dict(),
         "witness": witness.to_json_dict(),
-        "stability": _stability(sym, pert, n),
+        "stability": stability_summary(inst),
     }
     return ok and details["stability"]["stable_at_double"], details
 
 
 def _representation_details(
-    sym: Symbol,
-    pert: PerturbationSpec,
-    n: int,
+    inst: Instance,
     ni: int,
     frame_builder: Callable | None = None,
 ) -> tuple[RepresentationReport, dict]:
     rep = verify_corollary(
-        sym, pert, n, ni, column_cap=n // 2, frame_builder=frame_builder
+        inst.symbol, inst.perturbation, inst.truncation, ni,
+        frame_builder=frame_builder,
     )
     details = {
         "representation": rep.to_json_dict(),
-        "stability": _stability(sym, pert, n),
+        "stability": stability_summary(inst),
     }
     return rep, details
 
 
 def _rep_row(sym, pert, n, ni, frame_builder=None) -> tuple[bool, dict, tuple]:
-    rep, details = _representation_details(sym, pert, n, ni, frame_builder)
+    rep, details = _representation_details(Instance(sym, pert, n), ni, frame_builder)
     ok = rep.passed and details["stability"]["stable_at_double"]
     return ok, details, rep.notes
 
@@ -204,7 +185,7 @@ def _rank_two_vs(n: int) -> tuple[AnalyticSeries, AnalyticSeries]:
 def _r1(n: int, ni: int):
     u = _unit(_poly([1.0, 0.5, -0.25, 0.2, 0.1], n))
     v = _poly([0.4, -0.3, 0.2, 0.12, -0.05, 0.03], n)
-    return _defect_details(ZeroSymbol(), PerturbationSpec(((u, v),)), n)
+    return _defect_details(Instance(ZeroSymbol(), PerturbationSpec(((u, v),)), n))
 
 
 @_row(
@@ -215,7 +196,9 @@ def _r1(n: int, ni: int):
 def _r2(n: int, ni: int):
     u1, u2 = _rank_two_us(n)
     v1, v2 = _rank_two_vs(n)
-    return _defect_details(ZeroSymbol(), PerturbationSpec(((u1, v1), (u2, v2))), n)
+    return _defect_details(
+        Instance(ZeroSymbol(), PerturbationSpec(((u1, v1), (u2, v2))), n)
+    )
 
 
 @_row(
@@ -229,7 +212,7 @@ def _r3(n: int, ni: int):
     v1, v2 = _rank_two_vs(n)
     v3 = _shifted([0.3, 0.5, 0.1], 7, n)
     pert = PerturbationSpec(((u1, v1), (u2, v2), (u3, v3)))
-    return _defect_details(ZeroSymbol(), pert, n)
+    return _defect_details(Instance(ZeroSymbol(), pert, n))
 
 
 # --------------------------------------------------- multiplier defect
@@ -244,7 +227,7 @@ def _r4(n: int, ni: int):
     u1, u2 = _rank_two_us(n)
     v1, v2 = _rank_two_vs(n)
     sym = InnerSymbol(BlaschkeProduct(z_power=3))
-    return _defect_details(sym, PerturbationSpec(((u1, v1), (u2, v2))), n)
+    return _defect_details(Instance(sym, PerturbationSpec(((u1, v1), (u2, v2))), n))
 
 
 @_row(
@@ -256,7 +239,7 @@ def _r5(n: int, ni: int):
     u1, u2 = _rank_two_us(n)
     v1, v2 = _rank_two_vs(n)
     sym = InnerSymbol(BlaschkeProduct.from_points([0.3, -0.2, 0.15]))
-    return _defect_details(sym, PerturbationSpec(((u1, v1), (u2, v2))), n)
+    return _defect_details(Instance(sym, PerturbationSpec(((u1, v1), (u2, v2))), n))
 
 
 @_row(
@@ -269,8 +252,8 @@ def _r6(n: int, ni: int):
     u1, u2 = _rank_two_us(n)
     v1, v2 = _rank_two_vs(n)
     sym = InnerSymbol(BlaschkeProduct(z_power=m_pow))
-    pert = PerturbationSpec(((u1, v1), (u2, v2)))
-    f_general = theorem_defect_space(sym, pert.resized(n), n, DEFAULT_RANK_TOL)
+    inst = Instance(sym, PerturbationSpec(((u1, v1), (u2, v2))), n)
+    f_general = inst.defect_space
     shifted = []
     for v in (v1, v2):
         w = v
@@ -282,7 +265,7 @@ def _r6(n: int, ni: int):
         angle = float("inf")
     else:
         angle = float(principal_angles(f_general, f_shift)[-1])
-    ok, details = _defect_details(sym, pert, n)
+    ok, details = _defect_details(inst)
     details["shift_form_angle"] = angle
     return ok and angle < 1e-10, details
 
@@ -299,7 +282,7 @@ def _r7(n: int, ni: int):
     sym = InvertibleProductSymbol(_poly([1.0, 1 / 3], n), _poly([1.0, -0.25], n))
     u = _unit(_poly([0.6, -0.2, 0.3, 0.1, -0.05], n))
     v = _poly([0.4, 0.2, -0.3, 0.15], n)
-    return _defect_details(sym, PerturbationSpec(((u, v),)), n)
+    return _defect_details(Instance(sym, PerturbationSpec(((u, v),)), n))
 
 
 @_row(
@@ -313,7 +296,7 @@ def _r8(n: int, ni: int):
     )
     u1, u2 = _rank_two_us(n)
     v1, v2 = _rank_two_vs(n)
-    return _defect_details(sym, PerturbationSpec(((u1, v1), (u2, v2))), n)
+    return _defect_details(Instance(sym, PerturbationSpec(((u1, v1), (u2, v2))), n))
 
 
 # ------------------------------------------------- conjugate-inner defect
@@ -332,7 +315,7 @@ def _r9(n: int, ni: int):
     )
     v1, v2 = _rank_two_vs(n)
     pert = PerturbationSpec(((u1, v1), (u2, v2)))
-    ok, details = _defect_details(ConjInnerSymbol(th), pert, n)
+    ok, details = _defect_details(Instance(ConjInnerSymbol(th), pert, n))
     bound = details["defect"]["bound_from_theorem"]
     details["lambda_bound_is_rank"] = bound == 2
     return ok and bound == 2, details
@@ -350,7 +333,7 @@ def _r10(n: int, ni: int):
     u1 = _orth_against(_poly([1.0, 0.6, 0.3, -0.2], n), u2)
     v1, v2 = _rank_two_vs(n)
     pert = PerturbationSpec(((u1, v1), (u2, v2)))
-    ok, details = _defect_details(ConjInnerSymbol(th), pert, n)
+    ok, details = _defect_details(Instance(ConjInnerSymbol(th), pert, n))
     bound = details["defect"]["bound_from_theorem"]
     details["lambda_bound_is_rank_plus_one"] = bound == 3
     return ok and bound == 3, details
@@ -572,9 +555,9 @@ def _r24(n: int, ni: int):
     rem = 1.0 - u_theta.norm() ** 2
     u1 = _unit(_poly([0.0, 1.0, 0.5], n)) * np.sqrt(rem)
     pert = PerturbationSpec(((u1 + u_theta, v),))
-    sym = ConjInnerSymbol(th)
-    rep, details = _representation_details(sym, pert, n, ni)
-    defect_ok, defect_details = _defect_details(sym, pert, n)
+    inst = Instance(ConjInnerSymbol(th), pert, n)
+    rep, details = _representation_details(inst, ni)
+    defect_ok, defect_details = _defect_details(inst)
     details.update(defect_details)
     gap_reproduced = (not rep.passed) and rep.forward_max_residual > GAP_FLOOR
     details["gap_reproduced"] = gap_reproduced
@@ -626,12 +609,10 @@ def _monomial_split_row(n: int, ni: int, m_pow: int):
     def builder(sym_b, pert_b, trunc, inner, _p=m_pow):
         return build_monomial_split_frame(_p, pert_b, trunc, inner)
 
-    rep, details = _representation_details(sym, pert, n, ni, frame_builder=builder)
-    expected = monomial_split_expected_kernel(m_pow, pert.resized(n), n)
-    op = perturbed_matrix(
-        toeplitz_matrix(symbol_fourier(sym, n)), pert.resized(n)
-    )
-    computed = kernel_subspace(op, DEFAULT_RANK_TOL, column_cap=n // 2)
+    inst = Instance(sym, pert, n)
+    rep, details = _representation_details(inst, ni, frame_builder=builder)
+    expected = monomial_split_expected_kernel(m_pow, inst.perturbation, n)
+    computed = inst.kernel
     if expected.dim != computed.dim:
         angle = float("inf")
     else:

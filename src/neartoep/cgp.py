@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .blaschke import BlaschkeProduct, blaschke_expand
-from .defects import model_space
+from .defects import DIVISIBILITY_TOL, Instance, model_space
 from .errors import (
     DegenerateBranchError,
     HeadroomError,
@@ -30,8 +30,6 @@ from .operators import (
     PerturbationSpec,
     Symbol,
     ZeroSymbol,
-    perturbed_matrix,
-    symbol_fourier,
     toeplitz_matrix,
 )
 from .series import (
@@ -45,7 +43,6 @@ from .series import (
     multiply,
     multiply_analytic,
     riesz_project,
-    taylor_invert,
 )
 from .subspaces import (
     Subspace,
@@ -53,7 +50,6 @@ from .subspaces import (
     complement_within,
     contains,
     direct_sum,
-    kernel_subspace,
     principal_angles,
     project,
     span,
@@ -66,6 +62,7 @@ DENOMINATOR_FLOOR = 1e-14
 NORM_IDENTITY_TOL = 1e-10
 INNER_MODULUS_TOL = 1e-8
 SAMPLE_CAP = 32
+DEFAULT_INNER_TRUNCATION = 48
 _PAD_TOL = 1e-12
 
 
@@ -286,7 +283,6 @@ def _zero_symbol_frame(
     branch_tol: float,
 ) -> CgpFrame:
     u, _ = _single_term(pert)
-    u = u.resized(truncation)
     one = AnalyticSeries.one(truncation)
     f0 = one - np.conj(u.coeffs[0]) * u
     v0 = riesz_project(embed(u) - _abs_squared(u) * u.coeffs[0])
@@ -381,15 +377,10 @@ def _kernel_line_frame(
     )
 
 
-def _inner_frame(
-    sym: InnerSymbol,
-    pert: PerturbationSpec,
-    truncation: int,
-    branch_tol: float,
-) -> CgpFrame:
-    u, v = _single_term(pert)
-    u, v = u.resized(truncation), v.resized(truncation)
-    theta_exp = blaschke_expand(sym.product, truncation)
+def _inner_frame(inst: Instance, branch_tol: float) -> CgpFrame:
+    u, v = _single_term(inst.perturbation)
+    truncation = inst.truncation
+    theta_exp = inst.theta
     q = riesz_project(multiply(conj_on_circle(theta_exp), embed(v)))
     rebuilt = multiply_analytic(theta_exp, q)
     if (rebuilt - v).norm() > branch_tol * max(1.0, v.norm()):
@@ -400,37 +391,28 @@ def _inner_frame(
     )
 
 
-def _invertible_frame(
-    sym: InvertibleProductSymbol,
-    pert: PerturbationSpec,
-    truncation: int,
-    branch_tol: float,
-) -> CgpFrame:
-    u, v = _single_term(pert)
-    u, v = u.resized(truncation), v.resized(truncation)
-    f1_inv = taylor_invert(sym.f1.resized(truncation))
-    f2_inv = taylor_invert(sym.f2.resized(truncation))
-    t = riesz_project(multiply(conj_on_circle(f2_inv), embed(v)))
-    q = multiply_analytic(f1_inv, t)
+def _invertible_frame(inst: Instance, branch_tol: float) -> CgpFrame:
+    u, v = _single_term(inst.perturbation)
+    t = riesz_project(multiply(conj_on_circle(inst.f2_inv), embed(v)))
+    q = multiply_analytic(inst.f1_inv, t)
     c = 1.0 + complex(inner_product(q, u))
-    return _kernel_line_frame("invertible-line", q, f1_inv, c, truncation, branch_tol)
+    return _kernel_line_frame(
+        "invertible-line", q, inst.f1_inv, c, inst.truncation, branch_tol
+    )
 
 
 def _conj_inner_frame(
-    sym: ConjInnerSymbol,
-    pert: PerturbationSpec,
-    truncation: int,
+    inst: Instance,
     inner_truncation: int,
     branch_tol: float,
     divisibility_tol: float,
 ) -> CgpFrame:
-    u, v = _single_term(pert)
-    u, v = u.resized(truncation), v.resized(truncation)
+    u, v = _single_term(inst.perturbation)
+    truncation = inst.truncation
     one = AnalyticSeries.one(truncation)
-    theta_exp = blaschke_expand(sym.product, truncation)
+    theta_exp = inst.theta
     theta0 = theta_exp.coeffs[0]
-    k_theta = model_space(sym.product, truncation)
-    u1 = AnalyticSeries(k_theta.frame @ (k_theta.frame.conj().T @ u.coeffs), truncation)
+    u1 = inst.model_parts[0]
     u_theta = u - u1
     theta_v = multiply_analytic(theta_exp, v)
     v_at_zero = v.coeffs[0]
@@ -578,21 +560,33 @@ def build_cgp_frame(
     sym: Symbol,
     pert: PerturbationSpec,
     truncation: int,
-    inner_truncation: int = 48,
+    inner_truncation: int = DEFAULT_INNER_TRUNCATION,
     branch_tol: float = DEGENERATE_BRANCH_TOL,
-    divisibility_tol: float = 1e-8,
+    divisibility_tol: float = DIVISIBILITY_TOL,
 ) -> CgpFrame:
     """Representation frame for the kernel of the perturbed operator."""
+    return _instance_frame(
+        Instance(sym, pert, truncation), inner_truncation, branch_tol, divisibility_tol
+    )
+
+
+def _instance_frame(
+    inst: Instance,
+    inner_truncation: int,
+    branch_tol: float,
+    divisibility_tol: float,
+) -> CgpFrame:
+    sym = inst.symbol
     if isinstance(sym, ZeroSymbol):
-        return _zero_symbol_frame(pert, truncation, inner_truncation, branch_tol)
-    if isinstance(sym, InnerSymbol):
-        return _inner_frame(sym, pert, truncation, branch_tol)
-    if isinstance(sym, InvertibleProductSymbol):
-        return _invertible_frame(sym, pert, truncation, branch_tol)
-    if isinstance(sym, ConjInnerSymbol):
-        return _conj_inner_frame(
-            sym, pert, truncation, inner_truncation, branch_tol, divisibility_tol
+        return _zero_symbol_frame(
+            inst.perturbation, inst.truncation, inner_truncation, branch_tol
         )
+    if isinstance(sym, InnerSymbol):
+        return _inner_frame(inst, branch_tol)
+    if isinstance(sym, InvertibleProductSymbol):
+        return _invertible_frame(inst, branch_tol)
+    if isinstance(sym, ConjInnerSymbol):
+        return _conj_inner_frame(inst, inner_truncation, branch_tol, divisibility_tol)
     raise InputError(
         f"no kernel representation for symbol class {type(sym).__name__!r}"
     )
@@ -602,7 +596,7 @@ def build_monomial_split_frame(
     power: int,
     pert: PerturbationSpec,
     truncation: int,
-    inner_truncation: int = 48,
+    inner_truncation: int = DEFAULT_INNER_TRUNCATION,
     branch_tol: float = DEGENERATE_BRANCH_TOL,
 ) -> CgpFrame:
     """The worked monomial instance of the split branch, built verbatim.
@@ -769,7 +763,7 @@ def k_membership(
 def cgp_decompose(
     f: AnalyticSeries,
     frame: CgpFrame,
-    inner_truncation: int = 48,
+    inner_truncation: int = DEFAULT_INNER_TRUNCATION,
 ) -> tuple[list, float]:
     """Minimum-norm coefficient tuple with f = sum_j A_j k_j.
 
@@ -863,32 +857,25 @@ def verify_corollary(
     sym: Symbol,
     pert: PerturbationSpec,
     truncation: int,
-    inner_truncation: int = 48,
+    inner_truncation: int = DEFAULT_INNER_TRUNCATION,
     rank_tol: float = 1e-9,
     membership_tol: float = 1e-8,
     constraint_tol: float = 1e-8,
-    branch_tol: float = DEGENERATE_BRANCH_TOL,
-    column_cap: int | None = None,
     seed: int = 0,
-    sample_cap: int = SAMPLE_CAP,
     frame_builder: Callable | None = None,
 ) -> RepresentationReport:
     """Bidirectional check of the kernel representation for one instance.
 
-    column_cap None picks the interior window truncation // 2 for kernel
-    extraction, keeping band-cutoff artifacts out of the comparison.
+    The kernel is the instance's, extracted on the interior window
+    truncation // 2, which keeps band-cutoff artifacts out of the comparison.
     """
-    pert_n = pert.resized(truncation)
-    op = perturbed_matrix(
-        toeplitz_matrix(symbol_fourier(sym, truncation)), pert_n
-    )
-    column_cap = truncation // 2 if column_cap is None else column_cap
-    m = kernel_subspace(op, rank_tol, column_cap=column_cap)
+    inst = Instance(sym, pert, truncation, rank_tol)
+    m = inst.kernel
     if frame_builder is not None:
-        frame = frame_builder(sym, pert_n, truncation, inner_truncation)
+        frame = frame_builder(sym, inst.perturbation, truncation, inner_truncation)
     else:
-        frame = build_cgp_frame(
-            sym, pert_n, truncation, inner_truncation, branch_tol=branch_tol
+        frame = _instance_frame(
+            inst, inner_truncation, DEGENERATE_BRANCH_TOL, DIVISIBILITY_TOL
         )
     notes = list(frame.notes)
     if frame.expected_trivial:
@@ -914,7 +901,6 @@ def verify_corollary(
     f0_resid = 0.0
     if frame.f0.norm() > 1e-12:
         _, f0_resid = contains(m, frame.f0, membership_tol)
-    d_cap = column_cap if column_cap is not None else truncation
     # Forward tuples may use any support that keeps the assembled series
     # in-band; the interior column cap only governs kernel extraction.
     cap_fwd = min(inner_truncation, truncation - frame.degree_pad)
@@ -922,10 +908,10 @@ def verify_corollary(
         raise HeadroomError(
             "column cap leaves no room for forward coefficient support"
         )
-    cap_rev = min(truncation - frame.degree_pad, max(inner_truncation, d_cap))
+    cap_rev = min(truncation - frame.degree_pad, max(inner_truncation, inst.column_cap))
     null_fwd = _nullspace(_stack_clauses(frame, cap_fwd), rank_tol)
     k_dim = null_fwd.shape[1]
-    samples = [null_fwd[:, j] for j in range(min(k_dim, sample_cap))]
+    samples = [null_fwd[:, j] for j in range(min(k_dim, SAMPLE_CAP))]
     if k_dim > 1:
         rng = np.random.default_rng(seed)
         mix = rng.standard_normal((k_dim, 4)) + 1j * rng.standard_normal((k_dim, 4))
@@ -945,7 +931,7 @@ def verify_corollary(
             # Soundness is membership in ker R; the operator residual avoids
             # comparing against a column-capped kernel basis that may omit
             # genuine high-degree directions.
-            resid = float(np.linalg.norm(op.entries @ f) / fnorm)
+            resid = float(np.linalg.norm(inst.operator.entries @ f) / fnorm)
             forward_max = max(forward_max, resid)
             image_vectors.append(f / fnorm)
         else:
@@ -969,7 +955,7 @@ def verify_corollary(
             total = sum(np.linalg.norm(k) ** 2 for k in k_vectors)
             norm_err = max(norm_err, abs(np.linalg.norm(target) ** 2 - total))
     audit: float | None = None
-    if image_vectors and k_dim <= sample_cap and m.dim > 0:
+    if image_vectors and k_dim <= SAMPLE_CAP and m.dim > 0:
         image_span = span(
             [AnalyticSeries(vec, truncation) for vec in image_vectors],
             truncation,

@@ -13,23 +13,17 @@ import sys
 import time
 from pathlib import Path
 
-from .catalogue import (
-    DEFAULT_INNER_TRUNCATION,
-    DEFAULT_TRUNCATION,
-    run_catalogue,
-)
-from .defects import verify_defect_theorem
+from .catalogue import run_catalogue
+from .cgp import DEFAULT_INNER_TRUNCATION
 from .errors import InputError
-from .operators import perturbed_matrix, symbol_fourier, toeplitz_matrix
 from .runner import (
-    AMBIGUITY_BAND,
-    CONTAINMENT_TOL,
-    SINGULAR_TAIL_LEN,
+    DEFAULT_TRUNCATION,
     Scenario,
+    kernel_outcome,
     run_suite,
+    scenario_defects,
     scenarios_from_json,
 )
-from .subspaces import kernel_subspace, minimal_defect
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -117,20 +111,8 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
 
 def _cmd_defect(args: argparse.Namespace) -> int:
     scenario = _single_scenario(args.scenario_file, args)
-    tol = scenario.tolerances
-    report, witness = verify_defect_theorem(
-        scenario.symbol,
-        scenario.perturbation,
-        scenario.truncation,
-        rank_tol=tol.rank,
-        containment_tol=CONTAINMENT_TOL,
-        witness_tol=tol.membership,
-    )
-    ok = (
-        report.bound_from_theorem is not None
-        and report.defect_dim <= report.bound_from_theorem
-        and bool(report.contained_in_theorem_space)
-    )
+    report, witness = scenario_defects(scenario)
+    ok = report.passed
     contained = "contained" if report.contained_in_theorem_space else "NOT contained"
     print(
         f"scenario {scenario.scenario_id}: defect dim {report.defect_dim}, "
@@ -158,22 +140,17 @@ def _cmd_defect(args: argparse.Namespace) -> int:
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
     scenario = _single_scenario(args.scenario_file, args)
-    n = scenario.truncation
-    op = perturbed_matrix(
-        toeplitz_matrix(symbol_fourier(scenario.symbol, n)),
-        scenario.perturbation.resized(n),
-    )
-    m = kernel_subspace(op, scenario.tolerances.rank, column_cap=n // 2)
-    defect = minimal_defect(m)
-    rank_tol = scenario.tolerances.rank
-    svals = sorted(m.svals)
-    ambiguous = [s for s in svals if rank_tol <= s < rank_tol * AMBIGUITY_BAND]
-    tail = ", ".join(f"{s:.2e}" for s in svals[:SINGULAR_TAIL_LEN])
+    inst = scenario.instance()
+    outcome = kernel_outcome(inst)
+    details = outcome.details
+    tail = ", ".join(f"{s:.2e}" for s in details["smallest_singular_values"])
     print(
-        f"scenario {scenario.scenario_id}: kernel dim {m.dim} "
-        f"(cap {n // 2}, codim {n // 2 - m.dim}), defect dim {defect.defect_dim}"
+        f"scenario {scenario.scenario_id}: kernel dim {details['kernel_dim']} "
+        f"(cap {details['column_cap']}, codim {details['kernel_codim']}), "
+        f"defect dim {details['defect_dim']}"
     )
     print(f"smallest singular values: {tail}")
+    ambiguous = details["ambiguous_singular_values"]
     if ambiguous:
         print(
             "ambiguous singular values near the rank threshold: "
@@ -184,13 +161,13 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
             args.json_out,
             {
                 "scenario_id": scenario.scenario_id,
-                "column_cap": n // 2,
-                "defect_dim": defect.defect_dim,
-                "ambiguous_singular_values": [float(s) for s in ambiguous],
-                "kernel": m.to_json_dict(),
+                "column_cap": details["column_cap"],
+                "defect_dim": details["defect_dim"],
+                "ambiguous_singular_values": ambiguous,
+                "kernel": inst.kernel.to_json_dict(),
             },
         )
-    return EXIT_OK if not ambiguous else EXIT_VERIFICATION_FAILED
+    return EXIT_OK if outcome.passed else EXIT_VERIFICATION_FAILED
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:

@@ -1,14 +1,18 @@
 """Case-specific defect spaces and witnesses for perturbed-Toeplitz kernels.
 
-For each supported symbol class this module builds the predicted defect
-space F, constructs the witness w that returns S*h + w to the kernel, and
-runs the end-to-end check: computed minimal defect against the predicted
-bound, residual directions against F, and the witness contract.
+An Instance holds one operator R = T_g + sum v_i <., u_i> at a truncation
+order and builds each object derived from it (kernel, model space, defect
+space F, ...) once.  For each supported symbol class this module builds
+the predicted defect space F, constructs the witness w that returns
+S*h + w to the kernel, and runs the end-to-end check: computed minimal
+defect against the predicted bound, residual directions against F, and
+the witness contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,11 +44,13 @@ from .series import (
     taylor_invert,
 )
 from .subspaces import (
+    DEFAULT_RANK_TOL,
     DefectReport,
     Subspace,
     contains,
     kernel_subspace,
     minimal_defect,
+    project,
     span,
     vanish_at_zero,
 )
@@ -78,81 +84,163 @@ def conj_toeplitz_apply(f: AnalyticSeries, h: AnalyticSeries) -> AnalyticSeries:
     return riesz_project(multiply(conj_on_circle(f), embed(h)))
 
 
-def lambda_set(
-    theta: BlaschkeProduct,
-    u_list: list[AnalyticSeries],
-    truncation: int,
-    tol: float = DIVISIBILITY_TOL,
-) -> set[int]:
+def lambda_set(k_theta: Subspace, u_list: list[AnalyticSeries]) -> set[int]:
     """1-based indices k with nonzero model-space component of u_k (theta does not divide u_k)."""
-    k_theta = model_space(theta, truncation)
     out = set()
     for idx, u in enumerate(u_list, start=1):
-        uu = u.resized(truncation)
-        part = k_theta.frame @ (k_theta.frame.conj().T @ uu.coeffs)
-        if np.linalg.norm(part) > tol * max(uu.norm(), 1e-300):
+        part = project(k_theta, u)
+        if part.norm() > DIVISIBILITY_TOL * max(u.norm(), 1e-300):
             out.add(idx)
     return out
 
 
-def _invertible_chain(sym: InvertibleProductSymbol, f: AnalyticSeries) -> AnalyticSeries:
-    """T_{1/f1} T_{conj(1/f2)} applied to f."""
-    n = f.truncation
-    f1_inv = taylor_invert(sym.f1.resized(n))
-    f2_inv = taylor_invert(sym.f2.resized(n))
-    return multiply_analytic(f1_inv, conj_toeplitz_apply(f2_inv, f))
+@dataclass(frozen=True, eq=False)
+class Instance:
+    """R = T_g + sum v_i <., u_i> at one truncation order N.
+
+    The perturbation is kept resized to N.  Every derived object is
+    computed the first time it is read and kept on the instance, so checks
+    that share an instance never rebuild it.  The kernel is extracted on
+    the interior window N // 2, which keeps band-cutoff artifacts at the
+    top of the matrix out of it.
+    """
+
+    symbol: Symbol
+    perturbation: PerturbationSpec
+    truncation: int
+    rank_tol: float = DEFAULT_RANK_TOL
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "perturbation", self.perturbation.resized(self.truncation)
+        )
+
+    @property
+    def column_cap(self) -> int:
+        return self.truncation // 2
+
+    @cached_property
+    def operator(self) -> OperatorMatrix:
+        return perturbed_matrix(
+            toeplitz_matrix(symbol_fourier(self.symbol, self.truncation)),
+            self.perturbation,
+        )
+
+    @cached_property
+    def kernel(self) -> Subspace:
+        return kernel_subspace(self.operator, self.rank_tol, column_cap=self.column_cap)
+
+    @cached_property
+    def defect(self) -> DefectReport:
+        """Minimal near-invariance defect of the kernel."""
+        return minimal_defect(self.kernel)
+
+    @cached_property
+    def theta(self) -> AnalyticSeries:
+        """Taylor expansion of the inner or conjugated inner symbol."""
+        return blaschke_expand(self.symbol.product, self.truncation)
+
+    @cached_property
+    def k_theta(self) -> Subspace:
+        return model_space(self.symbol.product, self.truncation, self.rank_tol)
+
+    @cached_property
+    def model_parts(self) -> tuple[AnalyticSeries, ...]:
+        """Projection of each u_i onto the model space."""
+        return tuple(project(self.k_theta, u) for u, _ in self.perturbation.terms)
+
+    @cached_property
+    def lambda_set(self) -> set[int]:
+        return lambda_set(self.k_theta, [u for u, _ in self.perturbation.terms])
+
+    @cached_property
+    def f1_inv(self) -> AnalyticSeries:
+        return taylor_invert(self.symbol.f1.resized(self.truncation))
+
+    @cached_property
+    def f2_inv(self) -> AnalyticSeries:
+        return taylor_invert(self.symbol.f2.resized(self.truncation))
+
+    @cached_property
+    def shifted_images(self) -> tuple[AnalyticSeries, ...]:
+        """The case's corrector applied to each S*v_i (not used for g = 0).
+
+        T_conj(theta) for an inner symbol, T_{1/f1} T_conj(1/f2) for an
+        invertible product, multiplication by theta for a conjugate-inner
+        symbol.  F is spanned by these (plus model parts), and a witness
+        combines them with the weights <h, u_i>.
+        """
+        out = []
+        for _, v in self.perturbation.terms:
+            sv = backshift(v)
+            if isinstance(self.symbol, InnerSymbol):
+                out.append(conj_toeplitz_apply(self.theta, sv))
+            elif isinstance(self.symbol, InvertibleProductSymbol):
+                out.append(multiply_analytic(
+                    self.f1_inv, conj_toeplitz_apply(self.f2_inv, sv)
+                ))
+            else:
+                out.append(multiply_analytic(self.theta, sv))
+        return tuple(out)
+
+    @cached_property
+    def negative_frame(self) -> np.ndarray:
+        """Orthonormal frame of conj(theta) (model part of u_i), i in the lambda-set.
+
+        Read only when the lambda-set is nonempty.  Membership matches the
+        divisibility call used by the bound, so numerically-zero parts
+        never contribute junk directions.
+        """
+        theta_bar = conj_on_circle(self.theta)
+        b_vectors = [
+            multiply(theta_bar, embed(self.model_parts[idx - 1])).coeffs
+            for idx in sorted(self.lambda_set)
+        ]
+        q, _ = np.linalg.qr(np.column_stack(b_vectors))
+        return q
+
+    @cached_property
+    def defect_space(self) -> Subspace:
+        """The predicted defect space F."""
+        return theorem_defect_space(self)
+
+    @cached_property
+    def defect_bound(self) -> int:
+        return theorem_defect_bound(self)
+
+    @cached_property
+    def doubled(self) -> "Instance":
+        """The same operator data at truncation 2N."""
+        return Instance(
+            self.symbol, self.perturbation, 2 * self.truncation, self.rank_tol
+        )
 
 
-def theorem_defect_space(
-    sym: Symbol,
-    pert: PerturbationSpec,
-    truncation: int,
-    rank_tol: float = 1e-9,
-    divisibility_tol: float = DIVISIBILITY_TOL,
-) -> Subspace:
-    """The predicted defect space F for the given symbol class."""
-    _require_defect_case(sym)
-    if not pert.terms:
-        return Subspace.zero(truncation, rank_tol)
-    us = [u.resized(truncation) for u, _ in pert.terms]
-    vs = [v.resized(truncation) for _, v in pert.terms]
-    if isinstance(sym, ZeroSymbol):
-        return span(us, truncation, rank_tol)
-    if isinstance(sym, InnerSymbol):
-        theta = blaschke_expand(sym.product, truncation)
-        return span([conj_toeplitz_apply(theta, backshift(v)) for v in vs],
-                    truncation, rank_tol)
-    if isinstance(sym, InvertibleProductSymbol):
-        return span([_invertible_chain(sym, backshift(v)) for v in vs],
-                    truncation, rank_tol)
-    theta = blaschke_expand(sym.product, truncation)
-    vectors = [multiply_analytic(theta, backshift(v)) for v in vs]
-    k_theta = model_space(sym.product, truncation, rank_tol)
-    lam = lambda_set(sym.product, us, truncation, divisibility_tol)
-    for idx in sorted(lam):
-        u = us[idx - 1]
-        proj = k_theta.frame @ (k_theta.frame.conj().T @ u.coeffs)
-        vectors.append(AnalyticSeries(proj, truncation))
-    return span(vectors, truncation, rank_tol)
+def theorem_defect_space(inst: Instance) -> Subspace:
+    """The predicted defect space F for the instance's symbol class."""
+    _require_defect_case(inst.symbol)
+    n, terms = inst.truncation, inst.perturbation.terms
+    if not terms:
+        return Subspace.zero(n, inst.rank_tol)
+    if isinstance(inst.symbol, ZeroSymbol):
+        return span([u for u, _ in terms], n, inst.rank_tol)
+    vectors = list(inst.shifted_images)
+    if isinstance(inst.symbol, ConjInnerSymbol):
+        vectors += [inst.model_parts[idx - 1] for idx in sorted(inst.lambda_set)]
+    return span(vectors, n, inst.rank_tol)
 
 
-def theorem_defect_bound(
-    sym: Symbol, pert: PerturbationSpec, truncation: int,
-    divisibility_tol: float = DIVISIBILITY_TOL,
-) -> int:
-    _require_defect_case(sym)
-    n = pert.rank_bound
-    if isinstance(sym, ConjInnerSymbol) and n:
-        us = [u.resized(truncation) for u, _ in pert.terms]
-        return n + len(lambda_set(sym.product, us, truncation, divisibility_tol))
+def theorem_defect_bound(inst: Instance) -> int:
+    _require_defect_case(inst.symbol)
+    n = inst.perturbation.rank_bound
+    if isinstance(inst.symbol, ConjInnerSymbol) and n:
+        return n + len(inst.lambda_set)
     return n
 
 
 def defect_witness(
-    sym: Symbol,
+    inst: Instance,
     h: AnalyticSeries,
-    pert: PerturbationSpec,
-    operator: OperatorMatrix | None = None,
     kernel_tol: float = WITNESS_KERNEL_TOL,
 ) -> AnalyticSeries:
     """The proof's corrector w with S*h + w back in the kernel.
@@ -160,73 +248,36 @@ def defect_witness(
     Requires h in the kernel with h(0) = 0 (validated); the conjugate-inner
     case builds the negative-frequency decomposition explicitly.
     """
-    _require_defect_case(sym)
+    _require_defect_case(inst.symbol)
     n = h.truncation
-    if operator is None:
-        operator = perturbed_matrix(
-            toeplitz_matrix(symbol_fourier(sym, n)), pert.resized(n)
-        )
     if abs(h.coeffs[0]) > kernel_tol * max(1.0, h.norm()):
         raise HypothesisViolationError("witness needs h(0) = 0")
-    image = apply(operator, h)
+    image = apply(inst.operator, h)
     if image.norm() > kernel_tol * max(1.0, h.norm()):
         raise HypothesisViolationError("witness needs h in the kernel")
-    if not pert.terms:
+    terms = inst.perturbation.terms
+    if not terms:
         return AnalyticSeries.zero(n)
-    pert = pert.resized(n)
-    sh = backshift(h)
-    weights = [inner_product(h, u) for u, _ in pert.terms]
-    if isinstance(sym, ZeroSymbol):
+    if isinstance(inst.symbol, ZeroSymbol):
+        sh = backshift(h)
         acc = AnalyticSeries.zero(n)
-        for u, _ in pert.terms:
+        for u, _ in terms:
             acc = acc + inner_product(sh, u) * u
         return -acc
-    if isinstance(sym, InnerSymbol):
-        theta = blaschke_expand(sym.product, n)
-        acc = AnalyticSeries.zero(n)
-        for wgt, (_, v) in zip(weights, pert.terms):
-            acc = acc + wgt * conj_toeplitz_apply(theta, backshift(v))
-        return acc
-    if isinstance(sym, InvertibleProductSymbol):
-        acc = AnalyticSeries.zero(n)
-        for wgt, (_, v) in zip(weights, pert.terms):
-            acc = acc + wgt * _invertible_chain(sym, backshift(v))
-        return acc
-    return _conj_inner_witness(sym, h, pert, weights)
-
-
-def _conj_inner_witness(
-    sym: ConjInnerSymbol,
-    h: AnalyticSeries,
-    pert: PerturbationSpec,
-    weights: list[complex],
-) -> AnalyticSeries:
-    n = h.truncation
-    theta = blaschke_expand(sym.product, n)
-    theta_bar = conj_on_circle(theta)
-    psi = multiply(theta_bar, embed(backshift(h)))
-    for wgt, (_, v) in zip(weights, pert.terms):
-        psi = psi + wgt * embed(backshift(v))
-    # Negative-frequency frame for B = span of conj(theta) * (model part of
-    # u_i); membership matches the divisibility call used by the bound, so
-    # numerically-zero parts never contribute junk directions.
-    k_theta = model_space(sym.product, n)
-    lam = lambda_set(sym.product, [u for u, _ in pert.terms], n)
-    b_vectors = []
-    for idx in sorted(lam):
-        u = pert.terms[idx - 1][0]
-        part = k_theta.frame @ (k_theta.frame.conj().T @ u.coeffs)
-        b_vectors.append(multiply(theta_bar, embed(AnalyticSeries(part, n))).coeffs)
+    weights = [inner_product(h, u) for u, _ in terms]
     acc = AnalyticSeries.zero(n)
-    for wgt, (_, v) in zip(weights, pert.terms):
-        acc = acc + wgt * multiply_analytic(theta, backshift(v))
-    if not b_vectors:
+    for wgt, vec in zip(weights, inst.shifted_images):
+        acc = acc + wgt * vec
+    if not isinstance(inst.symbol, ConjInnerSymbol) or not inst.lambda_set:
         return acc
-    bmat = np.column_stack(b_vectors)
-    q, _ = np.linalg.qr(bmat)
+    # Remove theta times the analytic part of the component of
+    # psi = conj(theta) S*h + sum w_i S*v_i along the negative frame.
+    psi = multiply(conj_on_circle(inst.theta), embed(backshift(h)))
+    for wgt, (_, v) in zip(weights, terms):
+        psi = psi + wgt * embed(backshift(v))
+    q = inst.negative_frame
     psi1 = LaurentSeries(q @ (q.conj().T @ psi.coeffs), n)
-    theta_psi1 = riesz_project(multiply(embed(theta), psi1))
-    return acc - theta_psi1
+    return acc - riesz_project(multiply(embed(inst.theta), psi1))
 
 
 @dataclass(frozen=True)
@@ -270,24 +321,16 @@ def verify_defect_theorem(
     rank_tol: float = 1e-9,
     containment_tol: float = 1e-7,
     witness_tol: float = WITNESS_KERNEL_TOL,
-    column_cap: int | None = None,
 ) -> tuple[DefectReport, WitnessReport]:
     """End-to-end check of the defect prediction for one instance.
 
     Failures land in the report fields; only malformed inputs raise.
-    column_cap None picks the interior window truncation // 2, which keeps
-    band-cutoff artifacts at the top of the matrix out of the kernel.
     """
     _require_defect_case(sym)
-    pert_n = pert.resized(truncation)
-    operator = perturbed_matrix(
-        toeplitz_matrix(symbol_fourier(sym, truncation)), pert_n
-    )
-    cap = truncation // 2 if column_cap is None else column_cap
-    m = kernel_subspace(operator, rank_tol, column_cap=cap)
-    base = minimal_defect(m)
-    f_space = theorem_defect_space(sym, pert_n, truncation, rank_tol)
-    bound = theorem_defect_bound(sym, pert_n, truncation)
+    inst = Instance(sym, pert, truncation, rank_tol)
+    m = inst.kernel
+    base = inst.defect
+    f_space = inst.defect_space
     # S*M sits inside M + F; residual directions are orthogonal to M already,
     # so containment is tested against the joint span, not F alone.
     joint = span(
@@ -301,7 +344,7 @@ def verify_defect_theorem(
         defect_dim=base.defect_dim,
         residual_frame=base.residual_frame,
         singular_values=base.singular_values,
-        bound_from_theorem=bound,
+        bound_from_theorem=inst.defect_bound,
         contained_in_theorem_space=worst_outside < containment_tol,
         max_residual_outside_theorem_space=worst_outside,
     )
@@ -309,10 +352,10 @@ def verify_defect_theorem(
     vanishing = vanish_at_zero(m)
     for j in range(vanishing.dim):
         h = AnalyticSeries(vanishing.frame[:, j].copy(), truncation)
-        w = defect_witness(sym, h, pert_n, operator=operator, kernel_tol=witness_tol)
+        w = defect_witness(inst, h, kernel_tol=witness_tol)
         candidate = backshift(h) + w
         scale = max(1.0, candidate.norm())
-        membership = apply(operator, candidate).norm() / scale
+        membership = apply(inst.operator, candidate).norm() / scale
         if w.norm() == 0.0:
             w_resid = 0.0
         else:

@@ -9,19 +9,18 @@ import numpy as np
 import scipy.linalg
 
 from .blaschke import BlaschkeProduct, blaschke_expand
-from .errors import HypothesisViolationError, InputError, NotInvertibleError
+from .errors import HypothesisViolationError, InputError
 from .series import (
     AnalyticSeries,
     LaurentSeries,
     conj_on_circle,
     embed,
     multiply,
+    require_disk_invertible,
     riesz_project,
 )
 
 ORTHONORMAL_TOL = 1e-10
-
-BANDWIDTH_MASS_TOL = 1e-12
 
 # Relative support mass above which a symbol no longer counts as
 # analytic / co-analytic for the product identity hypotheses.
@@ -77,16 +76,6 @@ class ConjInnerSymbol:
         return {"tag": self.tag, "product": self.product.to_json_dict()}
 
 
-def _require_disk_invertible(p: AnalyticSeries, name: str) -> None:
-    deg = p.degree(tol=0.0)
-    if deg < 0 or p.coeffs[0] == 0:
-        raise NotInvertibleError(f"{name} vanishes at the origin")
-    if deg > 0:
-        roots = np.roots(p.coeffs[deg::-1])
-        if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-9:
-            raise NotInvertibleError(f"{name} has a root in the closed disk")
-
-
 @dataclass(frozen=True)
 class InvertibleProductSymbol:
     """f1 * conj(f2) with both polynomials zero-free on the closed disk."""
@@ -96,8 +85,8 @@ class InvertibleProductSymbol:
     tag = "invertible_product"
 
     def __post_init__(self) -> None:
-        _require_disk_invertible(self.f1, "f1")
-        _require_disk_invertible(self.f2, "f2")
+        require_disk_invertible(self.f1, "f1")
+        require_disk_invertible(self.f2, "f2")
 
     def to_json_dict(self) -> dict:
         return {
@@ -285,20 +274,6 @@ def apply(op: OperatorMatrix, f: AnalyticSeries) -> AnalyticSeries:
     if f.truncation != op.truncation:
         raise InputError("operator and argument truncations differ")
     return AnalyticSeries(op.entries @ f.coeffs, op.truncation)
-
-
-def bandwidth(g: LaurentSeries, mass_tol: float = BANDWIDTH_MASS_TOL) -> int:
-    """Smallest K with all coefficient mass outside -K..K below mass_tol (relative)."""
-    n = g.truncation
-    mags = np.abs(g.coeffs) ** 2
-    total = float(mags.sum())
-    if total == 0.0:
-        return 0
-    for k in range(n + 1):
-        outside = mags[: n - k].sum() + mags[n + k + 1 :].sum()
-        if outside <= mass_tol * total:
-            return k
-    return n
 
 
 def _support_mass(g: LaurentSeries) -> tuple[float, float, float]:

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cgp import verify_corollary
-from .defects import verify_defect_theorem
+from .cgp import DEFAULT_INNER_TRUNCATION, verify_corollary
+from .defects import Instance, WitnessReport, verify_defect_theorem
 from .errors import HeadroomError, InputError
 from .operators import (
     ConjInnerSymbol,
@@ -24,17 +24,13 @@ from .operators import (
     PerturbationSpec,
     Symbol,
     TrigPolySymbol,
-    perturbed_matrix,
     symbol_from_json,
-    symbol_fourier,
-    toeplitz_matrix,
 )
 from .series import COEFF_TRIM_TOL
-from .subspaces import DEFAULT_RANK_TOL, kernel_subspace, minimal_defect
+from .subspaces import DefectReport
 
 VALID_CHECKS = ("kernel", "defect", "witness", "cgp")
 DEFAULT_TRUNCATION = 128
-DEFAULT_INNER_TRUNCATION = 48
 HEADROOM_MARGIN = 8
 CONTAINMENT_TOL = 1e-7
 # Singular values inside [rank_tol, rank_tol * band) make the kernel/range
@@ -162,6 +158,12 @@ class Scenario:
             "checks": list(self.checks),
         }
 
+    def instance(self) -> Instance:
+        """The scenario's operator data at its truncation and rank tolerance."""
+        return Instance(
+            self.symbol, self.perturbation, self.truncation, self.tolerances.rank
+        )
+
     @classmethod
     def from_json_dict(cls, data: dict) -> "Scenario":
         if not isinstance(data, dict):
@@ -212,34 +214,20 @@ def scenarios_from_json(data) -> list[Scenario]:
     return [Scenario.from_json_dict(data)]
 
 
-def kernel_profile(
-    sym: Symbol,
-    pert: PerturbationSpec,
-    truncation: int,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> tuple[int, int, int]:
-    """(kernel dim, column cap, defect dim) at one truncation order."""
-    op = perturbed_matrix(
-        toeplitz_matrix(symbol_fourier(sym, truncation)), pert.resized(truncation)
-    )
-    m = kernel_subspace(op, rank_tol, column_cap=truncation // 2)
-    return m.dim, truncation // 2, minimal_defect(m).defect_dim
+def kernel_profile(inst: Instance) -> tuple[int, int, int]:
+    """(kernel dim, column cap, defect dim) at the instance's truncation."""
+    return inst.kernel.dim, inst.column_cap, inst.defect.defect_dim
 
 
-def stability_summary(
-    sym: Symbol,
-    pert: PerturbationSpec,
-    truncation: int,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> dict:
+def stability_summary(inst: Instance) -> dict:
     """Kernel and defect dimensions at the working order and at its double.
 
     Finite kernels must repeat their dimension; annihilator-style symbols
     have cofinite kernels, for which the codimension inside the scan
     window is the stable quantity instead.
     """
-    d1, c1, f1 = kernel_profile(sym, pert, truncation, rank_tol)
-    d2, c2, f2 = kernel_profile(sym, pert, 2 * truncation, rank_tol)
+    d1, c1, f1 = kernel_profile(inst)
+    d2, c2, f2 = kernel_profile(inst.doubled)
     stable = (d1 == d2 or c1 - d1 == c2 - d2) and f1 == f2
     return {
         "kernel_dim": d1,
@@ -311,61 +299,56 @@ class SuiteReport:
         }
 
 
-def _kernel_outcome(scenario: Scenario) -> CheckOutcome:
-    n = scenario.truncation
-    op = perturbed_matrix(
-        toeplitz_matrix(symbol_fourier(scenario.symbol, n)),
-        scenario.perturbation.resized(n),
-    )
-    m = kernel_subspace(op, scenario.tolerances.rank, column_cap=n // 2)
+def kernel_outcome(inst: Instance) -> CheckOutcome:
+    """The kernel check: fails when a singular value sits near the rank threshold."""
+    m = inst.kernel
     svals = sorted(m.svals)
-    rank_tol = scenario.tolerances.rank
+    rank_tol = inst.rank_tol
     ambiguous = [s for s in svals if rank_tol <= s < rank_tol * AMBIGUITY_BAND]
     details = {
         "kernel_dim": m.dim,
-        "kernel_codim": n // 2 - m.dim,
-        "column_cap": n // 2,
-        "defect_dim": minimal_defect(m).defect_dim,
+        "kernel_codim": inst.column_cap - m.dim,
+        "column_cap": inst.column_cap,
+        "defect_dim": inst.defect.defect_dim,
         "smallest_singular_values": [float(s) for s in svals[:SINGULAR_TAIL_LEN]],
         "ambiguous_singular_values": [float(s) for s in ambiguous],
     }
     return CheckOutcome("kernel", not ambiguous, details)
 
 
+def scenario_defects(scenario: Scenario) -> tuple[DefectReport, WitnessReport]:
+    """The defect theorem check at the scenario's tolerances."""
+    tol = scenario.tolerances
+    return verify_defect_theorem(
+        scenario.symbol,
+        scenario.perturbation,
+        scenario.truncation,
+        rank_tol=tol.rank,
+        containment_tol=CONTAINMENT_TOL,
+        witness_tol=tol.membership,
+    )
+
+
 def run_scenario(scenario: Scenario, stabilize: bool = True) -> ScenarioReport:
     """Execute the requested checks; stabilize re-runs dimensions at 2N."""
     start = time.perf_counter()
     tol = scenario.tolerances
-    sym = scenario.symbol
-    pert = scenario.perturbation
-    n = scenario.truncation
+    inst = scenario.instance()
     defect_pair = None
 
     def defect_results():
         nonlocal defect_pair
         if defect_pair is None:
-            defect_pair = verify_defect_theorem(
-                sym,
-                pert,
-                n,
-                rank_tol=tol.rank,
-                containment_tol=CONTAINMENT_TOL,
-                witness_tol=tol.membership,
-            )
+            defect_pair = scenario_defects(scenario)
         return defect_pair
 
     outcomes = []
     for check in scenario.checks:
         if check == "kernel":
-            outcomes.append(_kernel_outcome(scenario))
+            outcomes.append(kernel_outcome(inst))
         elif check == "defect":
             report, _ = defect_results()
-            ok = (
-                report.bound_from_theorem is not None
-                and report.defect_dim <= report.bound_from_theorem
-                and bool(report.contained_in_theorem_space)
-            )
-            outcomes.append(CheckOutcome("defect", ok, report.to_json_dict()))
+            outcomes.append(CheckOutcome("defect", report.passed, report.to_json_dict()))
         elif check == "witness":
             _, witness = defect_results()
             ok = (
@@ -384,9 +367,9 @@ def run_scenario(scenario: Scenario, stabilize: bool = True) -> ScenarioReport:
             outcomes.append(CheckOutcome("witness", ok, details))
         else:
             rep = verify_corollary(
-                sym,
-                pert,
-                n,
+                scenario.symbol,
+                scenario.perturbation,
+                scenario.truncation,
                 scenario.inner_truncation,
                 rank_tol=tol.rank,
                 membership_tol=tol.membership,
@@ -394,10 +377,10 @@ def run_scenario(scenario: Scenario, stabilize: bool = True) -> ScenarioReport:
                 seed=scenario.seed,
             )
             outcomes.append(CheckOutcome("cgp", rep.passed, rep.to_json_dict()))
-    stability = stability_summary(sym, pert, n, tol.rank) if stabilize else None
+    stability = stability_summary(inst) if stabilize else None
     return ScenarioReport(
         scenario_id=scenario.scenario_id,
-        truncation=n,
+        truncation=scenario.truncation,
         outcomes=tuple(outcomes),
         stability=stability,
         elapsed_seconds=time.perf_counter() - start,

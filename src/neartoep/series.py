@@ -26,6 +26,9 @@ TAIL_MASS_RATIO = 1e-8
 
 COEFF_TRIM_TOL = 1e-300
 
+# Roots within this distance outside the unit circle count as on it.
+DISK_ROOT_MARGIN = 1e-9
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=np.complex128)
@@ -333,18 +336,24 @@ def reproducing_kernel(point: complex, truncation: int, normalized: bool = False
     return AnalyticSeries(coeffs.astype(np.complex128), truncation)
 
 
-def taylor_invert(p: AnalyticSeries, root_margin: float = 1e-9) -> AnalyticSeries:
-    """Taylor series of 1/p for a polynomial with no roots in the closed disk."""
+def require_disk_invertible(p: AnalyticSeries, name: str = "polynomial") -> None:
+    """Raise NotInvertibleError unless the polynomial p has no root in the closed disk."""
     deg = p.degree(tol=0.0)
-    if deg < 0 or abs(p.coeffs[0]) == 0.0:
-        raise NotInvertibleError("polynomial vanishes at the origin")
+    if deg < 0 or p.coeffs[0] == 0:
+        raise NotInvertibleError(f"{name} vanishes at the origin")
     if deg > 0:
         roots = np.roots(p.coeffs[deg::-1])
-        if roots.size and np.min(np.abs(roots)) <= 1.0 + root_margin:
+        if roots.size and np.min(np.abs(roots)) <= 1.0 + DISK_ROOT_MARGIN:
             raise NotInvertibleError(
-                "polynomial has a root in the closed disk "
+                f"{name} has a root in the closed disk "
                 f"(closest modulus {float(np.min(np.abs(roots))):.6g})"
             )
+
+
+def taylor_invert(p: AnalyticSeries) -> AnalyticSeries:
+    """Taylor series of 1/p for a polynomial with no roots in the closed disk."""
+    require_disk_invertible(p)
+    deg = p.degree(tol=0.0)
     n = p.truncation
     out = np.zeros(n, dtype=np.complex128)
     out[0] = 1.0 / p.coeffs[0]

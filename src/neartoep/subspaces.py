@@ -66,10 +66,6 @@ class Subspace:
     def zero(cls, truncation: int, rank_tol: float = DEFAULT_RANK_TOL) -> "Subspace":
         return cls(np.zeros((truncation, 0), dtype=np.complex128), truncation, rank_tol)
 
-    @classmethod
-    def full(cls, truncation: int, rank_tol: float = DEFAULT_RANK_TOL) -> "Subspace":
-        return cls(np.eye(truncation, dtype=np.complex128), truncation, rank_tol)
-
     def basis_series(self) -> list[AnalyticSeries]:
         return [AnalyticSeries(self.frame[:, j].copy(), self.truncation) for j in range(self.dim)]
 
@@ -204,13 +200,6 @@ def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     return theta
 
 
-def orthogonal_complement(m: Subspace) -> Subspace:
-    if m.dim == 0:
-        return Subspace.full(m.truncation, m.rank_tol)
-    comp = scipy.linalg.null_space(m.frame.conj().T)
-    return Subspace(_fix_phases(comp), m.truncation, m.rank_tol)
-
-
 def direct_sum(a: Subspace, b: Subspace) -> Subspace:
     """Combine two frames; near-parallel inputs raise ConditioningError."""
     if a.truncation != b.truncation:
@@ -257,6 +246,15 @@ class DefectReport:
     bound_from_theorem: int | None = None
     contained_in_theorem_space: bool | None = None
     max_residual_outside_theorem_space: float | None = None
+
+    @property
+    def passed(self) -> bool:
+        """Within the theorem's bound, with every residual direction inside F."""
+        return (
+            self.bound_from_theorem is not None
+            and self.defect_dim <= self.bound_from_theorem
+            and bool(self.contained_in_theorem_space)
+        )
 
     def to_json_dict(self) -> dict:
         return {

@@ -4,6 +4,8 @@ Random draws always honor the perturbation invariants (orthonormal u_i,
 pairwise orthogonal nonzero v_i) so that construction never raises.
 """
 
+import sys
+
 import numpy as np
 
 from neartoep.blaschke import BlaschkeProduct
@@ -87,3 +89,25 @@ def disk_invertible_poly(rng, truncation, max_degree=3):
     arr[0] = 1.0
     arr[1 : degree + 1] = tail
     return AnalyticSeries(arr, truncation)
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of every call to module.name.
+
+    The counting wrapper replaces the function under every name a neartoep
+    module holds it by, so calls through `from ... import` bindings count
+    too.  Returns the list of (args, kwargs) pairs, filled as calls happen.
+    """
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if mod is not None and (key == "neartoep" or key.startswith("neartoep.")):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls

@@ -26,7 +26,7 @@ from neartoep.cgp import (
     remark_projection_formula,
     verify_corollary,
 )
-from neartoep.defects import model_space, verify_defect_theorem
+from neartoep.defects import Instance, model_space, verify_defect_theorem
 from neartoep.operators import (
     ConjInnerSymbol,
     InnerSymbol,
@@ -376,7 +376,7 @@ def test_criterion_8_stability_across_doubling():
         rng = np.random.default_rng(80_000 + offset)
         sym = _suite_symbol(case, rng, REP_TRUNCATION)
         pert = seeded_perturbation(rng, REP_TRUNCATION, 2, max_degree=6)
-        summary = stability_summary(sym, pert, REP_TRUNCATION)
+        summary = stability_summary(Instance(sym, pert, REP_TRUNCATION))
         if not summary["stable_at_double"]:
             failures.append(f"{case}: scenario unstable at doubled truncation")
         if summary["defect_dim"] != summary["defect_dim_doubled"]:

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import count_calls
+from neartoep import subspaces
 from neartoep.blaschke import BlaschkeProduct, blaschke_expand
 from neartoep.cli import main
 from neartoep.errors import HeadroomError, InputError
@@ -129,6 +131,16 @@ def test_run_scenario_without_stabilization():
     assert "elapsed" not in json.dumps(payload)
 
 
+def test_kernel_check_and_stability_audit_share_one_instance(monkeypatch):
+    data = basic_scenario_dict()
+    data["checks"] = ["kernel"]
+    scenario = scenarios_from_json(data)[0]
+    calls = count_calls(monkeypatch, subspaces, "kernel_subspace")
+    report = run_scenario(scenario, stabilize=True)
+    assert report.passed
+    assert [args[0].truncation for args, _ in calls] == [N, 2 * N]
+
+
 def test_run_suite_rejects_duplicate_ids():
     scenario = scenarios_from_json(basic_scenario_dict())[0]
     with pytest.raises(InputError, match="duplicate"):
@@ -221,7 +233,12 @@ def test_cli_kernel_command(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "kernel dim" in stdout
     payload = json.loads(out.read_text())
-    assert payload["kernel"]["dim"] == payload["kernel"]["dim"]
+    run_out = tmp_path / "run.json"
+    assert main(["run", path, "--no-stabilize", "--json-out", str(run_out)]) == 0
+    outcomes = json.loads(run_out.read_text())["scenarios"][0]["outcomes"]
+    run_kernel = next(o["details"] for o in outcomes if o["check"] == "kernel")
+    assert payload["kernel"]["dim"] == len(payload["kernel"]["frame"])
+    assert payload["kernel"]["dim"] == run_kernel["kernel_dim"]
     assert payload["column_cap"] == N // 2
     assert payload["ambiguous_singular_values"] == []
 

@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from conftest import disk_invertible_poly, random_blaschke, seeded_perturbation
+from conftest import (
+    count_calls,
+    disk_invertible_poly,
+    random_blaschke,
+    seeded_perturbation,
+)
+from neartoep import defects, series
 from neartoep.blaschke import BlaschkeProduct, blaschke_expand
 from neartoep.defects import (
+    Instance,
     defect_witness,
     lambda_set,
     model_space,
@@ -66,20 +73,21 @@ def test_lambda_set_tracks_divisibility():
     theta_exp = blaschke_expand(theta, N)
     divisible = multiply_analytic(theta_exp, unit([0.5, 1.0]))
     mixed = unit([1.0, 0.25])
-    assert lambda_set(theta, [divisible], N) == set()
-    assert lambda_set(theta, [mixed], N) == {1}
-    assert lambda_set(theta, [divisible, mixed], N) == {2}
+    k_theta = model_space(theta, N)
+    assert lambda_set(k_theta, [divisible]) == set()
+    assert lambda_set(k_theta, [mixed]) == {1}
+    assert lambda_set(k_theta, [divisible, mixed]) == {2}
 
 
 def test_zero_symbol_defect_space_is_the_pairing_span():
     u = unit([1.0, 0.5, -0.25])
     v = AnalyticSeries.from_coeffs([0, 1.0], N)
     pert = PerturbationSpec(((u, v),))
-    f = theorem_defect_space(ZeroSymbol(), pert, N)
+    f = theorem_defect_space(Instance(ZeroSymbol(), pert, N))
     want = span([u], N)
     assert f.dim == 1
     assert float(principal_angles(f, want).max()) < ANGLE_TOL
-    assert theorem_defect_bound(ZeroSymbol(), pert, N) == 1
+    assert theorem_defect_bound(Instance(ZeroSymbol(), pert, N)) == 1
 
 
 def test_monomial_symbol_defect_space_is_shifted_replacement():
@@ -88,7 +96,7 @@ def test_monomial_symbol_defect_space_is_shifted_replacement():
     v = AnalyticSeries.from_coeffs([0.5, 0, 0, 0, 1.0], N)
     pert = PerturbationSpec(((u, v),))
     sym = InnerSymbol(BlaschkeProduct(z_power=m))
-    f = theorem_defect_space(sym, pert, N)
+    f = theorem_defect_space(Instance(sym, pert, N))
     shifted = v
     for _ in range(m + 1):
         shifted = backshift(shifted)
@@ -107,9 +115,9 @@ def test_conj_inner_bound_counts_model_components():
     v2 = AnalyticSeries.from_coeffs([0, 0, 0, 0.5], N)
     sym = ConjInnerSymbol(theta)
     pert_div = PerturbationSpec(((u_div, v1),))
-    assert theorem_defect_bound(sym, pert_div, N) == 1
+    assert theorem_defect_bound(Instance(sym, pert_div, N)) == 1
     pert_both = PerturbationSpec(((u_div, v1), (u_mix, v2)))
-    assert theorem_defect_bound(sym, pert_both, N) == 3
+    assert theorem_defect_bound(Instance(sym, pert_both, N)) == 3
 
 
 def test_witness_validates_its_hypotheses():
@@ -118,10 +126,10 @@ def test_witness_validates_its_hypotheses():
     pert = PerturbationSpec(((u, v),))
     nonvanishing = AnalyticSeries.from_coeffs([1.0, 1.0], N)
     with pytest.raises(HypothesisViolationError):
-        defect_witness(ZeroSymbol(), nonvanishing, pert)
+        defect_witness(Instance(ZeroSymbol(), pert, N), nonvanishing)
     outside = AnalyticSeries.from_coeffs([0, 1.0], N)  # <z, 1> = 0 but R z = v != 0
     with pytest.raises(HypothesisViolationError):
-        defect_witness(InnerSymbol(BlaschkeProduct(z_power=1)), outside, pert)
+        defect_witness(Instance(InnerSymbol(BlaschkeProduct(z_power=1)), pert, N), outside)
 
 
 def test_unsupported_symbol_rejected():
@@ -157,6 +165,29 @@ def test_verify_defect_theorem_seeded_instance(case):
     assert report.max_residual_outside_theorem_space < CONTAINMENT_TOL
     assert witness.max_membership_residual < WITNESS_TOL
     assert witness.max_w_in_space_residual < WITNESS_TOL
+
+
+def test_conj_inner_check_builds_the_model_space_once(monkeypatch):
+    n = 128
+    rng = np.random.default_rng(505)
+    pert = seeded_perturbation(rng, n, rank=3, max_degree=6)
+    sym = ConjInnerSymbol(BlaschkeProduct.from_points([0.3, -0.4j], z_power=4))
+    calls = count_calls(monkeypatch, defects, "model_space")
+    report, witness = verify_defect_theorem(sym, pert, n)
+    assert report.passed and witness.entries
+    assert len(calls) == 1
+
+
+def test_invertible_check_inverts_each_factor_once(monkeypatch):
+    rng = np.random.default_rng(303)
+    pert = seeded_perturbation(rng, N, rank=2, max_degree=6)
+    sym = InvertibleProductSymbol(
+        disk_invertible_poly(rng, N), disk_invertible_poly(rng, N)
+    )
+    calls = count_calls(monkeypatch, series, "taylor_invert")
+    report, _ = verify_defect_theorem(sym, pert, N)
+    assert report.passed
+    assert len(calls) == 2
 
 
 def test_defect_matches_brute_force_on_small_case():

@@ -12,7 +12,6 @@ from neartoep.operators import (
     TrigPolySymbol,
     ZeroSymbol,
     apply,
-    bandwidth,
     is_analytic_symbol,
     is_coanalytic_symbol,
     perturbed_matrix,
@@ -141,8 +140,6 @@ def test_symbol_json_round_trip_all_tags():
 
 def test_bandwidth_and_support_classifiers():
     g = LaurentSeries.from_pairs([(-1, 1.0), (2, 1.0)], 8)
-    assert bandwidth(g) == 2
-    assert bandwidth(LaurentSeries.zero(8)) == 0
     assert is_analytic_symbol(LaurentSeries.from_pairs([(0, 1.0), (3, 1.0)], 8))
     assert not is_analytic_symbol(g)
     assert is_coanalytic_symbol(LaurentSeries.from_pairs([(-3, 1.0)], 8))

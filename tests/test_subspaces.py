@@ -15,7 +15,6 @@ from neartoep.subspaces import (
     direct_sum,
     kernel_subspace,
     minimal_defect,
-    orthogonal_complement,
     principal_angles,
     project,
     span,
@@ -201,9 +200,6 @@ def test_complement_and_direct_sum_identities():
     outside = span([AnalyticSeries.from_coeffs([0, 0, 0, 1.0], n)], n)
     with pytest.raises(InputError):
         complement_within(ambient, outside)
-    comp = orthogonal_complement(ambient)
-    assert comp.dim == n - 3
-    assert float(principal_angles(comp, ambient).min()) == pytest.approx(np.pi / 2)
 
 
 def test_minimal_defect_on_shift_invariant_space():
