@@ -1,16 +1,13 @@
-"""Finite Blaschke products and polynomial inner-outer splitting."""
+"""Finite Blaschke products and their Taylor expansions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryAmbiguityError, InputError
+from .errors import InputError
 from .series import AnalyticSeries, multiply_analytic
-
-# Roots this close to the unit circle cannot be classified reliably.
-BOUNDARY_EPS = 1e-6
 
 UNIMODULAR_TOL = 1e-10
 
@@ -110,45 +107,3 @@ def blaschke_expand(b: BlaschkeProduct, truncation: int) -> AnalyticSeries:
             arr[b.z_power :] = acc.coeffs[:keep]
         acc = AnalyticSeries(arr, truncation)
     return acc
-
-
-def inner_outer_factor(
-    p: AnalyticSeries, boundary_eps: float = BOUNDARY_EPS
-) -> tuple[BlaschkeProduct, AnalyticSeries]:
-    """Split a polynomial into a Blaschke part and a disk-zero-free part.
-
-    The returned pair multiplies back to p exactly: all scalar factors are
-    folded into the outer polynomial and the Blaschke constant stays 1.
-    Roots within boundary_eps of the unit circle raise.
-    """
-    deg = p.degree(tol=0.0)
-    if deg < 0:
-        raise InputError("cannot factor the zero polynomial")
-    lead_trim = np.abs(p.coeffs[: deg + 1]) > 0
-    z_power = int(np.argmax(lead_trim)) if lead_trim.any() else 0
-    body = p.coeffs[z_power : deg + 1]
-    inner_pts: list[complex] = []
-    outer_roots: list[complex] = []
-    if body.shape[0] > 1:
-        roots = np.roots(body[::-1])
-        for r in roots:
-            m = abs(r)
-            if m < 1.0 - boundary_eps:
-                inner_pts.append(complex(r))
-            elif m <= 1.0 + boundary_eps:
-                raise BoundaryAmbiguityError(
-                    f"root modulus {m:.12g} within {boundary_eps} of the circle"
-                )
-            else:
-                outer_roots.append(complex(r))
-    lead = complex(body[-1])
-    inner = BlaschkeProduct.from_points(inner_pts, z_power=z_power)
-    # p = lead z^m prod(z - a) prod(z - b) and (a - z) = -(1 - conj(a) z) b_a(z),
-    # so the outer part keeps lead * (-1)^#inner * prod(1 - conj(a) z) * prod(z - b).
-    outer_poly = np.array([lead * (-1) ** len(inner_pts)], dtype=np.complex128)
-    for a in inner_pts:
-        outer_poly = np.convolve(outer_poly, np.array([1.0, -np.conj(a)]))
-    for bpt in outer_roots:
-        outer_poly = np.convolve(outer_poly, np.array([-bpt, 1.0]))
-    outer = AnalyticSeries.from_coeffs(outer_poly, p.truncation)
-    return inner, outer

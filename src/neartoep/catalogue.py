@@ -15,6 +15,7 @@ import numpy as np
 from .blaschke import BlaschkeProduct, blaschke_expand
 from .cgp import (
     DEFAULT_INNER_TRUNCATION,
+    CgpFrame,
     RepresentationReport,
     build_monomial_split_frame,
     monomial_split_expected_kernel,
@@ -22,7 +23,7 @@ from .cgp import (
     remark_projection_formula,
     verify_corollary,
 )
-from .defects import Instance, model_space, verify_defect_theorem
+from .defects import WITNESS_KERNEL_TOL, Instance, model_space, verify_defect_theorem
 from .errors import InputError
 from .operators import (
     ConjInnerSymbol,
@@ -114,11 +115,7 @@ def _defect_details(inst: Instance) -> tuple[bool, dict]:
     report, witness = verify_defect_theorem(
         inst.symbol, inst.perturbation, inst.truncation
     )
-    ok = (
-        report.passed
-        and witness.max_membership_residual < 1e-8
-        and witness.max_w_in_space_residual < 1e-8
-    )
+    ok = report.passed and witness.passed(WITNESS_KERNEL_TOL)
     details = {
         "defect": report.to_json_dict(),
         "witness": witness.to_json_dict(),
@@ -128,13 +125,10 @@ def _defect_details(inst: Instance) -> tuple[bool, dict]:
 
 
 def _representation_details(
-    inst: Instance,
-    ni: int,
-    frame_builder: Callable | None = None,
+    inst: Instance, ni: int, frame: CgpFrame | None = None
 ) -> tuple[RepresentationReport, dict]:
     rep = verify_corollary(
-        inst.symbol, inst.perturbation, inst.truncation, ni,
-        frame_builder=frame_builder,
+        inst.symbol, inst.perturbation, inst.truncation, ni, frame=frame
     )
     details = {
         "representation": rep.to_json_dict(),
@@ -143,8 +137,8 @@ def _representation_details(
     return rep, details
 
 
-def _rep_row(sym, pert, n, ni, frame_builder=None) -> tuple[bool, dict, tuple]:
-    rep, details = _representation_details(Instance(sym, pert, n), ni, frame_builder)
+def _rep_row(sym, pert, n, ni) -> tuple[bool, dict, tuple]:
+    rep, details = _representation_details(Instance(sym, pert, n), ni)
     ok = rep.passed and details["stability"]["stable_at_double"]
     return ok, details, rep.notes
 
@@ -605,12 +599,9 @@ def _monomial_split_instance(n: int, m_pow: int):
 
 def _monomial_split_row(n: int, ni: int, m_pow: int):
     sym, pert = _monomial_split_instance(n, m_pow)
-
-    def builder(sym_b, pert_b, trunc, inner, _p=m_pow):
-        return build_monomial_split_frame(_p, pert_b, trunc, inner)
-
     inst = Instance(sym, pert, n)
-    rep, details = _representation_details(inst, ni, frame_builder=builder)
+    frame = build_monomial_split_frame(m_pow, inst.perturbation, n, ni)
+    rep, details = _representation_details(inst, ni, frame)
     expected = monomial_split_expected_kernel(m_pow, inst.perturbation, n)
     computed = inst.kernel
     if expected.dim != computed.dim:

@@ -11,7 +11,7 @@ the computed kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,8 +43,10 @@ from .series import (
     multiply,
     multiply_analytic,
     riesz_project,
+    shift,
 )
 from .subspaces import (
+    DEFAULT_RANK_TOL,
     Subspace,
     _fix_phases,
     complement_within,
@@ -61,6 +63,9 @@ DEGENERATE_BRANCH_TOL = 1e-10
 DENOMINATOR_FLOOR = 1e-14
 NORM_IDENTITY_TOL = 1e-10
 INNER_MODULUS_TOL = 1e-8
+# Kernel-membership residual and clause violation counting as zero.
+MEMBERSHIP_TOL = 1e-8
+CONSTRAINT_TOL = 1e-8
 SAMPLE_CAP = 32
 DEFAULT_INNER_TRUNCATION = 48
 _PAD_TOL = 1e-12
@@ -68,29 +73,25 @@ _PAD_TOL = 1e-12
 
 def mult_matrix(f: AnalyticSeries) -> np.ndarray:
     """Truncated matrix of multiplication by the analytic function f."""
-    return toeplitz_matrix(embed(f), label="mult").entries
+    return toeplitz_matrix(embed(f)).entries
 
 
 def conj_mult_matrix(f: AnalyticSeries) -> np.ndarray:
     """Truncated matrix of the Toeplitz operator with symbol conj(f)."""
-    return toeplitz_matrix(conj_on_circle(f), label="conj-mult").entries
-
-
-def shift_matrix(truncation: int) -> np.ndarray:
-    return np.eye(truncation, k=-1, dtype=np.complex128)
+    return toeplitz_matrix(conj_on_circle(f)).entries
 
 
 def _abs_squared(f: AnalyticSeries) -> LaurentSeries:
     return multiply(embed(f), conj_on_circle(f))
 
 
-def is_numerically_inner(f: AnalyticSeries, tol: float = INNER_MODULUS_TOL) -> bool:
-    """Whether |f| = 1 on a circle grid, up to tol."""
+def is_numerically_inner(f: AnalyticSeries) -> bool:
+    """Whether |f| = 1 on a circle grid, up to INNER_MODULUS_TOL."""
     grid = 4 * f.truncation
     angles = 2.0 * np.pi * np.arange(grid) / grid
     vand = np.exp(1j * np.outer(angles, np.arange(f.truncation)))
     values = vand @ f.coeffs
-    return bool(np.max(np.abs(np.abs(values) - 1.0)) < tol)
+    return bool(np.max(np.abs(np.abs(values) - 1.0)) < INNER_MODULUS_TOL)
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,7 @@ class LinearClause:
 
 
 def ip_family_clause(
-    vectors: Sequence[AnalyticSeries | None],
-    depth: int,
-    label: str = "moment-family",
+    vectors: Sequence[AnalyticSeries | None], depth: int
 ) -> LinearClause:
     """Rows <k_j, z^n v_j> summed over slots, for n = 0 .. depth-1."""
     mats = []
@@ -147,39 +146,32 @@ def ip_family_clause(
         for r in range(min(depth, n)):
             rows[r, r:] = np.conj(v.coeffs[: n - r])
         mats.append(rows)
-    return LinearClause(label, tuple(mats))
+    return LinearClause("moment-family", tuple(mats))
 
 
 def model_membership_clause(
-    theta_exp: AnalyticSeries,
-    factors: Sequence[AnalyticSeries | None],
-    label: str = "model-space",
+    theta_exp: AnalyticSeries, factors: Sequence[AnalyticSeries | None]
 ) -> LinearClause:
     """sum_j factor_j * k_j must lie in the kernel of the conj-inner operator."""
     tmat = conj_mult_matrix(theta_exp)
     mats = tuple(
         None if f is None else tmat @ mult_matrix(f) for f in factors
     )
-    return LinearClause(label, mats)
+    return LinearClause("model-space", mats)
 
 
-def constant_value_clause(
-    factors: Sequence[AnalyticSeries | None],
-    label: str = "constant-value",
-) -> LinearClause:
+def constant_value_clause(factors: Sequence[AnalyticSeries | None]) -> LinearClause:
     """sum_j factor_j * k_j must be a constant function."""
     mats = tuple(
         None if f is None else mult_matrix(f)[1:, :] for f in factors
     )
-    return LinearClause(label, mats)
+    return LinearClause("constant-value", mats)
 
 
-def zero_slot_clause(
-    slot_count: int, slot: int, truncation: int, label: str = "zero-slot"
-) -> LinearClause:
+def zero_slot_clause(slot_count: int, slot: int, truncation: int) -> LinearClause:
     mats = [None] * slot_count
     mats[slot] = np.eye(truncation, dtype=np.complex128)
-    return LinearClause(label, tuple(mats))
+    return LinearClause("zero-slot", tuple(mats))
 
 
 @dataclass(frozen=True)
@@ -192,10 +184,8 @@ class CgpFrame:
     slot_maps: tuple
     clauses: tuple
     f0: AnalyticSeries
-    e_list: tuple
-    constraint_vectors: tuple
-    degree_pad: int
-    isometric: bool
+    constraint_vectors: tuple = ()
+    isometric: bool = False
     expected_trivial: bool = False
     notes: tuple = ()
 
@@ -207,21 +197,15 @@ class CgpFrame:
     def slot_count(self) -> int:
         return len(self.slot_maps)
 
-    def named_vector(self, name: str) -> AnalyticSeries | None:
-        for key, vec in self.constraint_vectors:
-            if key == name:
-                return vec
-        return None
-
-
-def _degree_pad(slot_maps: Sequence[np.ndarray]) -> int:
-    pad = 0
-    for mat in slot_maps:
-        col = np.abs(mat[:, 0])
-        nz = np.nonzero(col > _PAD_TOL)[0]
-        if nz.size:
-            pad = max(pad, int(nz[-1]))
-    return pad
+    @property
+    def degree_pad(self) -> int:
+        """Highest degree any slot map adds to a constant coefficient."""
+        pad = 0
+        for mat in self.slot_maps:
+            nz = np.nonzero(np.abs(mat[:, 0]) > _PAD_TOL)[0]
+            if nz.size:
+                pad = max(pad, int(nz[-1]))
+        return pad
 
 
 def projection_of_one(m: Subspace) -> AnalyticSeries:
@@ -267,55 +251,39 @@ def _trivial_frame(case_tag: str, truncation: int, reason: str) -> CgpFrame:
         slot_maps=(),
         clauses=(),
         f0=AnalyticSeries.zero(truncation),
-        e_list=(),
-        constraint_vectors=(),
-        degree_pad=0,
-        isometric=False,
         expected_trivial=True,
         notes=(reason,),
     )
 
 
 def _zero_symbol_frame(
-    pert: PerturbationSpec,
-    truncation: int,
-    inner_truncation: int,
-    branch_tol: float,
+    pert: PerturbationSpec, truncation: int, inner_truncation: int
 ) -> CgpFrame:
     u, _ = _single_term(pert)
     one = AnalyticSeries.one(truncation)
     f0 = one - np.conj(u.coeffs[0]) * u
     v0 = riesz_project(embed(u) - _abs_squared(u) * u.coeffs[0])
     v1 = riesz_project(laurent_shift(_abs_squared(u), -1))
-    a_shift_u = shift_matrix(truncation) @ mult_matrix(u)
-    if f0.norm() <= branch_tol:
-        slot_maps = (a_shift_u,)
-        clauses = (ip_family_clause([v1], inner_truncation),)
+    a_shift_u = mult_matrix(shift(u))
+    if f0.norm() <= DEGENERATE_BRANCH_TOL:
         return CgpFrame(
             case_tag="hyperplane",
             branch="vanishing-projection",
             truncation=truncation,
-            slot_maps=slot_maps,
-            clauses=clauses,
+            slot_maps=(a_shift_u,),
+            clauses=(ip_family_clause([v1], inner_truncation),),
             f0=AnalyticSeries.zero(truncation),
-            e_list=(u,),
             constraint_vectors=(("v1", v1),),
-            degree_pad=_degree_pad(slot_maps),
             isometric=is_numerically_inner(u),
         )
-    slot_maps = (mult_matrix(f0), a_shift_u)
-    clauses = (ip_family_clause([v0, v1], inner_truncation),)
     return CgpFrame(
         case_tag="hyperplane",
         branch="full",
         truncation=truncation,
-        slot_maps=slot_maps,
-        clauses=clauses,
+        slot_maps=(mult_matrix(f0), a_shift_u),
+        clauses=(ip_family_clause([v0, v1], inner_truncation),),
         f0=f0,
-        e_list=(u,),
         constraint_vectors=(("v0", v0), ("v1", v1)),
-        degree_pad=_degree_pad(slot_maps),
-        isometric=False,
     )
 
 
@@ -325,10 +293,9 @@ def _kernel_line_frame(
     base: AnalyticSeries,
     degeneracy: complex,
     truncation: int,
-    branch_tol: float,
 ) -> CgpFrame:
     """Shared inner/invertible construction: the kernel lives on the q line."""
-    if abs(degeneracy) > branch_tol:
+    if abs(degeneracy) > DEGENERATE_BRANCH_TOL:
         return _trivial_frame(
             case_tag, truncation, "pairing 1 + <q, u> does not vanish"
         )
@@ -336,151 +303,113 @@ def _kernel_line_frame(
     a0 = q.coeffs[0]
     q_s = backshift(q - a0 * base)
     nqs = q_s.norm()
-    if abs(a0) > branch_tol:
+    if abs(a0) > DEGENERATE_BRANCH_TOL:
         f0 = (np.conj(a0) / q.norm() ** 2) * q
         if nqs > 0.0:
-            a1 = shift_matrix(truncation) @ mult_matrix(q_s * (1.0 / nqs))
-            e_list = (q_s * (1.0 / nqs),)
+            a1 = mult_matrix(shift(q_s * (1.0 / nqs)))
         else:
             a1 = np.zeros((truncation, truncation), dtype=np.complex128)
-            e_list = ()
-        slot_maps = (mult_matrix(f0), a1)
-        clauses = (
-            constant_value_clause([one, None]),
-            zero_slot_clause(2, 1, truncation),
-        )
         return CgpFrame(
             case_tag=case_tag,
             branch="nonvanishing-mean",
             truncation=truncation,
-            slot_maps=slot_maps,
-            clauses=clauses,
+            slot_maps=(mult_matrix(f0), a1),
+            clauses=(
+                constant_value_clause([one, None]),
+                zero_slot_clause(2, 1, truncation),
+            ),
             f0=f0,
-            e_list=e_list,
-            constraint_vectors=(),
-            degree_pad=_degree_pad(slot_maps),
-            isometric=abs(f0.norm() - 1.0) < branch_tol,
+            isometric=abs(f0.norm() - 1.0) < DEGENERATE_BRANCH_TOL,
         )
-    slot_maps = (mult_matrix(q * (1.0 / nqs)),)
-    clauses = (constant_value_clause([one]),)
     return CgpFrame(
         case_tag=case_tag,
         branch="vanishing-mean",
         truncation=truncation,
-        slot_maps=slot_maps,
-        clauses=clauses,
+        slot_maps=(mult_matrix(q * (1.0 / nqs)),),
+        clauses=(constant_value_clause([one]),),
         f0=AnalyticSeries.zero(truncation),
-        e_list=(q_s * (1.0 / nqs),),
-        constraint_vectors=(),
-        degree_pad=_degree_pad(slot_maps),
-        isometric=abs(q.norm() / nqs - 1.0) < branch_tol,
+        isometric=abs(q.norm() / nqs - 1.0) < DEGENERATE_BRANCH_TOL,
     )
 
 
-def _inner_frame(inst: Instance, branch_tol: float) -> CgpFrame:
+def _inner_frame(inst: Instance) -> CgpFrame:
     u, v = _single_term(inst.perturbation)
     truncation = inst.truncation
     theta_exp = inst.theta
     q = riesz_project(multiply(conj_on_circle(theta_exp), embed(v)))
     rebuilt = multiply_analytic(theta_exp, q)
-    if (rebuilt - v).norm() > branch_tol * max(1.0, v.norm()):
+    if (rebuilt - v).norm() > DEGENERATE_BRANCH_TOL * max(1.0, v.norm()):
         return _trivial_frame("inner-line", truncation, "inner factor does not divide v")
     c = 1.0 + complex(inner_product(q, u))
     return _kernel_line_frame(
-        "inner-line", q, AnalyticSeries.one(truncation), c, truncation, branch_tol
+        "inner-line", q, AnalyticSeries.one(truncation), c, truncation
     )
 
 
-def _invertible_frame(inst: Instance, branch_tol: float) -> CgpFrame:
+def _invertible_frame(inst: Instance) -> CgpFrame:
     u, v = _single_term(inst.perturbation)
     t = riesz_project(multiply(conj_on_circle(inst.f2_inv), embed(v)))
     q = multiply_analytic(inst.f1_inv, t)
     c = 1.0 + complex(inner_product(q, u))
-    return _kernel_line_frame(
-        "invertible-line", q, inst.f1_inv, c, inst.truncation, branch_tol
-    )
+    return _kernel_line_frame("invertible-line", q, inst.f1_inv, c, inst.truncation)
 
 
-def _conj_inner_frame(
-    inst: Instance,
-    inner_truncation: int,
-    branch_tol: float,
-    divisibility_tol: float,
-) -> CgpFrame:
+def _conj_inner_frame(inst: Instance, inner_truncation: int) -> CgpFrame:
     u, v = _single_term(inst.perturbation)
     truncation = inst.truncation
     one = AnalyticSeries.one(truncation)
     theta_exp = inst.theta
     theta0 = theta_exp.coeffs[0]
     u1 = inst.model_parts[0]
-    u_theta = u - u1
     theta_v = multiply_analytic(theta_exp, v)
     v_at_zero = v.coeffs[0]
-    s_v = backshift(v)
-    nsv = s_v.norm()
+    nsv = backshift(v).norm()
     p_model = one - np.conj(theta0) * theta_exp
-    if u1.norm() <= divisibility_tol * u.norm():
-        c = 1.0 + complex(inner_product(theta_v, u))
-        if abs(c) > branch_tol:
-            slot_maps = (mult_matrix(p_model),)
-            clauses = (model_membership_clause(theta_exp, [p_model]),)
-            return CgpFrame(
-                case_tag="conj-inner",
-                branch="model-space",
-                truncation=truncation,
-                slot_maps=slot_maps,
-                clauses=clauses,
-                f0=p_model,
-                e_list=(),
-                constraint_vectors=(),
-                degree_pad=_degree_pad(slot_maps),
-                isometric=False,
-            )
-        f0 = p_model + (np.conj(theta0 * v_at_zero) / v.norm() ** 2) * theta_v
-        e1 = multiply_analytic(theta_exp, s_v) * (1.0 / nsv)
-        slot_maps = (
-            mult_matrix(f0),
-            mult_matrix(multiply_analytic(theta_exp, v - v_at_zero * one) * (1.0 / nsv)),
+    divisible = u1.norm() <= DIVISIBILITY_TOL * u.norm()
+    if divisible and abs(1.0 + complex(inner_product(theta_v, u))) > DEGENERATE_BRANCH_TOL:
+        return CgpFrame(
+            case_tag="conj-inner",
+            branch="model-space",
+            truncation=truncation,
+            slot_maps=(mult_matrix(p_model),),
+            clauses=(model_membership_clause(theta_exp, [p_model]),),
+            f0=p_model,
         )
-        clauses = (
-            model_membership_clause(
-                theta_exp, [p_model, theta_exp * (-v_at_zero / nsv)]
-            ),
-            constant_value_clause(
-                [one * (np.conj(theta0 * v_at_zero) / v.norm() ** 2), one * (1.0 / nsv)]
-            ),
-        )
+    # Shared by the extended, split and orthogonal-split branches: the
+    # theta v coefficient of the projection of 1, the theta (v - v(0)) slot
+    # and the factors of its model-membership and constant-value clauses.
+    c_tv = np.conj(theta0 * v_at_zero) / v.norm() ** 2
+    p_ambient = p_model + c_tv * theta_v
+    a1 = mult_matrix(multiply_analytic(theta_exp, v - v_at_zero * one) * (1.0 / nsv))
+    model_factors = [p_model, theta_exp * (-v_at_zero / nsv)]
+    value_factors = [one * c_tv, one * (1.0 / nsv)]
+    if divisible:
         return CgpFrame(
             case_tag="conj-inner",
             branch="extended-model-space",
             truncation=truncation,
-            slot_maps=slot_maps,
-            clauses=clauses,
-            f0=f0,
-            e_list=(e1,),
-            constraint_vectors=(),
-            degree_pad=_degree_pad(slot_maps),
-            isometric=False,
+            slot_maps=(mult_matrix(p_ambient), a1),
+            clauses=(
+                model_membership_clause(theta_exp, model_factors),
+                constant_value_clause(value_factors),
+            ),
+            f0=p_ambient,
         )
-    wt = w_theta(theta_exp, v, u_theta)
+    wt = w_theta(theta_exp, v, u - u1)
     nu1 = u1.norm()
     e2 = u1 * (1.0 / nu1)
-    a1 = mult_matrix(multiply_analytic(theta_exp, v - v_at_zero * one) * (1.0 / nsv))
-    a2 = shift_matrix(truncation) @ mult_matrix(e2)
+    a2 = mult_matrix(shift(e2))
     v2 = riesz_project(laurent_shift(_abs_squared(u1), -1)) * (1.0 / nu1)
-    if abs(wt) > branch_tol:
-        if abs(v.norm() - 1.0) > branch_tol:
+    membership = model_membership_clause(theta_exp, model_factors + [None])
+    if abs(wt) > DEGENERATE_BRANCH_TOL:
+        if abs(v.norm() - 1.0) > DEGENERATE_BRANCH_TOL:
             raise InputError(
                 "split-branch representation is stated for a unit-norm v; "
                 "rescale the perturbation before building the frame"
             )
         rho = rho_theta(theta_exp, v, u1, wt)
         removed = u1 + np.conj(wt) * theta_v
-        f0 = (
-            p_model
-            + (np.conj(theta0 * v_at_zero) / v.norm() ** 2) * theta_v
-            - rho * removed
-        )
+        f0 = p_ambient - rho * removed
         v0 = riesz_project(
             embed(removed)
             - embed(v) * (theta0 * np.conj(wt))
@@ -490,69 +419,44 @@ def _conj_inner_frame(
         v1 = riesz_project(
             multiply(embed(v), conj_on_circle(v - v_at_zero * one))
         ) * (np.conj(wt) / nsv)
-        slot_maps = (mult_matrix(f0), a1, a2)
-        clauses = (
-            model_membership_clause(
-                theta_exp, [p_model, theta_exp * (-v_at_zero / nsv), None]
-            ),
-            constant_value_clause(
-                [
-                    one * (np.conj(theta0 * v_at_zero) / v.norm() ** 2),
-                    one * (1.0 / nsv),
-                    AnalyticSeries.monomial(1, truncation, -np.conj(wt) / nu1),
-                ]
-            ),
-            ip_family_clause([v0, v1, v2], inner_truncation),
-        )
         return CgpFrame(
             case_tag="conj-inner",
             branch="split",
             truncation=truncation,
-            slot_maps=slot_maps,
-            clauses=clauses,
+            slot_maps=(mult_matrix(f0), a1, a2),
+            clauses=(
+                membership,
+                constant_value_clause(
+                    value_factors
+                    + [AnalyticSeries.monomial(1, truncation, -np.conj(wt) / nu1)]
+                ),
+                ip_family_clause([v0, v1, v2], inner_truncation),
+            ),
             f0=f0,
-            e_list=(multiply_analytic(theta_exp, s_v) * (1.0 / nsv), e2),
             constraint_vectors=(("v0", v0), ("v1", v1), ("v2", v2)),
-            degree_pad=_degree_pad(slot_maps),
-            isometric=False,
         )
     f0 = (
         p_model
         - (np.conj(u1.coeffs[0]) / nu1**2) * u1
-        + (np.conj(theta0 * v_at_zero) / v.norm() ** 2) * theta_v
+        + c_tv * theta_v
     )
     v0 = riesz_project(embed(u1) - _abs_squared(u1) * (u1.coeffs[0] / nu1**2))
-    notes = []
-    if u1.degree(branch_tol) < 1:
-        notes.append(
-            "constant model component of u leaves the final slot unconstrained"
-        )
-    slot_maps = (mult_matrix(f0), a1, a2)
-    clauses = (
-        model_membership_clause(
-            theta_exp, [p_model, theta_exp * (-v_at_zero / nsv), None]
-        ),
-        constant_value_clause(
-            [
-                one * (np.conj(theta0 * v_at_zero) / v.norm() ** 2),
-                one * (1.0 / nsv),
-                None,
-            ]
-        ),
-        ip_family_clause([v0, None, v2], inner_truncation),
-    )
+    notes = ()
+    if u1.degree(DEGENERATE_BRANCH_TOL) < 1:
+        notes = ("constant model component of u leaves the final slot unconstrained",)
     return CgpFrame(
         case_tag="conj-inner",
         branch="orthogonal-split",
         truncation=truncation,
-        slot_maps=slot_maps,
-        clauses=clauses,
+        slot_maps=(mult_matrix(f0), a1, a2),
+        clauses=(
+            membership,
+            constant_value_clause(value_factors + [None]),
+            ip_family_clause([v0, None, v2], inner_truncation),
+        ),
         f0=f0,
-        e_list=(multiply_analytic(theta_exp, s_v) * (1.0 / nsv), e2),
         constraint_vectors=(("v0", v0), ("v2", v2)),
-        degree_pad=_degree_pad(slot_maps),
-        isometric=False,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 
@@ -561,35 +465,38 @@ def build_cgp_frame(
     pert: PerturbationSpec,
     truncation: int,
     inner_truncation: int = DEFAULT_INNER_TRUNCATION,
-    branch_tol: float = DEGENERATE_BRANCH_TOL,
-    divisibility_tol: float = DIVISIBILITY_TOL,
 ) -> CgpFrame:
     """Representation frame for the kernel of the perturbed operator."""
-    return _instance_frame(
-        Instance(sym, pert, truncation), inner_truncation, branch_tol, divisibility_tol
-    )
+    return _instance_frame(Instance(sym, pert, truncation), inner_truncation)
 
 
-def _instance_frame(
-    inst: Instance,
-    inner_truncation: int,
-    branch_tol: float,
-    divisibility_tol: float,
-) -> CgpFrame:
+def _instance_frame(inst: Instance, inner_truncation: int) -> CgpFrame:
     sym = inst.symbol
     if isinstance(sym, ZeroSymbol):
-        return _zero_symbol_frame(
-            inst.perturbation, inst.truncation, inner_truncation, branch_tol
-        )
+        return _zero_symbol_frame(inst.perturbation, inst.truncation, inner_truncation)
     if isinstance(sym, InnerSymbol):
-        return _inner_frame(inst, branch_tol)
+        return _inner_frame(inst)
     if isinstance(sym, InvertibleProductSymbol):
-        return _invertible_frame(inst, branch_tol)
+        return _invertible_frame(inst)
     if isinstance(sym, ConjInnerSymbol):
-        return _conj_inner_frame(inst, inner_truncation, branch_tol, divisibility_tol)
+        return _conj_inner_frame(inst, inner_truncation)
     raise InputError(
         f"no kernel representation for symbol class {type(sym).__name__!r}"
     )
+
+
+def _monomial_split_setup(power: int, pert: PerturbationSpec, truncation: int):
+    """u, v resized, theta = z^power, the split selector and theta v."""
+    u, v = _single_term(pert)
+    u, v = u.resized(truncation), v.resized(truncation)
+    if power < 1:
+        raise InputError("monomial instance needs power >= 1")
+    theta_exp = AnalyticSeries.monomial(power, truncation)
+    u2 = AnalyticSeries(
+        np.concatenate([np.zeros(power, dtype=np.complex128), u.coeffs[power:]]),
+        truncation,
+    )
+    return u, v, theta_exp, w_theta(theta_exp, v, u2), multiply_analytic(theta_exp, v)
 
 
 def build_monomial_split_frame(
@@ -597,7 +504,6 @@ def build_monomial_split_frame(
     pert: PerturbationSpec,
     truncation: int,
     inner_truncation: int = DEFAULT_INNER_TRUNCATION,
-    branch_tol: float = DEGENERATE_BRANCH_TOL,
 ) -> CgpFrame:
     """The worked monomial instance of the split branch, built verbatim.
 
@@ -605,92 +511,59 @@ def build_monomial_split_frame(
     a unit-norm v; the constant slot is multiplied by 1 rather than by the
     projection vector, so the frame is non-orthogonal but still exact.
     """
-    u, v = _single_term(pert)
-    u, v = u.resized(truncation), v.resized(truncation)
-    if power < 1:
-        raise InputError("monomial instance needs power >= 1")
+    u, v, theta_exp, wt, theta_v = _monomial_split_setup(power, pert, truncation)
     head = np.zeros(power, dtype=np.complex128)
     head[-1] = 0.25
     if np.max(np.abs(u.coeffs[:power] - head)) > 1e-12:
         raise InputError("monomial instance expects u to start with z^(power-1)/4")
-    if abs(v.norm() - 1.0) > branch_tol:
+    if abs(v.norm() - 1.0) > DEGENERATE_BRANCH_TOL:
         raise InputError("monomial instance expects a unit-norm v")
-    one = AnalyticSeries.one(truncation)
-    theta_exp = AnalyticSeries.monomial(power, truncation)
-    u2 = AnalyticSeries(
-        np.concatenate([np.zeros(power, dtype=np.complex128), u.coeffs[power:]]),
-        truncation,
-    )
-    wt = w_theta(theta_exp, v, u2)
-    if abs(wt) <= branch_tol:
+    if abs(wt) <= DEGENERATE_BRANCH_TOL:
         raise InputError("monomial instance needs a nonzero split selector")
+    one = AnalyticSeries.one(truncation)
     v_at_zero = v.coeffs[0]
-    s_v = backshift(v)
-    nsv = s_v.norm()
-    theta_v = multiply_analytic(theta_exp, v)
-    shift = shift_matrix(truncation)
+    nsv = backshift(v).norm()
     a1 = mult_matrix(multiply_analytic(theta_exp, v - v_at_zero * one) * (1.0 / nsv))
     a2 = (
-        shift @ mult_matrix(AnalyticSeries.monomial(power - 1, truncation))
-        + shift @ mult_matrix(theta_v * (4.0 * np.conj(wt)))
-        - shift @ mult_matrix(theta_v) * (4.0 * np.conj(wt))
+        mult_matrix(shift(AnalyticSeries.monomial(power - 1, truncation)))
+        + mult_matrix(shift(theta_v * (4.0 * np.conj(wt))))
+        - mult_matrix(shift(theta_v)) * (4.0 * np.conj(wt))
     )
     v0 = AnalyticSeries.monomial(power - 1, truncation, 0.25) + np.conj(wt) * theta_v
     v1 = riesz_project(
         multiply(embed(v), conj_on_circle(v - v_at_zero * one))
     ) * (np.conj(wt) / nsv)
-    slot_maps = (np.eye(truncation, dtype=np.complex128), a1, a2)
-    clauses = (
-        model_membership_clause(
-            theta_exp, [one, theta_exp * (-v_at_zero / nsv), None]
-        ),
-        constant_value_clause(
-            [None, one * (1.0 / nsv), AnalyticSeries.monomial(1, truncation, -4.0 * np.conj(wt))]
-        ),
-        ip_family_clause([v0, v1, None], inner_truncation),
-    )
     return CgpFrame(
         case_tag="monomial-split",
         branch="split",
         truncation=truncation,
-        slot_maps=slot_maps,
-        clauses=clauses,
-        f0=AnalyticSeries.zero(truncation),
-        e_list=(
-            multiply_analytic(theta_exp, s_v) * (1.0 / nsv),
-            AnalyticSeries.monomial(power - 1, truncation),
+        slot_maps=(np.eye(truncation, dtype=np.complex128), a1, a2),
+        clauses=(
+            model_membership_clause(
+                theta_exp, [one, theta_exp * (-v_at_zero / nsv), None]
+            ),
+            constant_value_clause(
+                [None, one * (1.0 / nsv), AnalyticSeries.monomial(1, truncation, -4.0 * np.conj(wt))]
+            ),
+            ip_family_clause([v0, v1, None], inner_truncation),
         ),
+        f0=AnalyticSeries.zero(truncation),
         constraint_vectors=(("v0", v0), ("v1", v1)),
-        degree_pad=_degree_pad(slot_maps),
-        isometric=False,
         notes=("constant slot multiplied by 1 in place of the projection vector",),
     )
 
 
 def monomial_split_expected_kernel(
-    power: int,
-    pert: PerturbationSpec,
-    truncation: int,
-    rank_tol: float = 1e-9,
+    power: int, pert: PerturbationSpec, truncation: int
 ) -> Subspace:
     """span{1, .., z^(power-1)} + span{z^power v} minus the removed direction."""
-    u, v = _single_term(pert)
-    u, v = u.resized(truncation), v.resized(truncation)
-    theta_exp = AnalyticSeries.monomial(power, truncation)
-    u2 = AnalyticSeries(
-        np.concatenate([np.zeros(power, dtype=np.complex128), u.coeffs[power:]]),
-        truncation,
-    )
-    wt = w_theta(theta_exp, v, u2)
-    theta_v = multiply_analytic(theta_exp, v)
+    _, _, _, wt, theta_v = _monomial_split_setup(power, pert, truncation)
     polys = span(
-        [AnalyticSeries.monomial(j, truncation) for j in range(power)],
-        truncation,
-        rank_tol,
+        [AnalyticSeries.monomial(j, truncation) for j in range(power)], truncation
     )
-    ambient = direct_sum(polys, span([theta_v], truncation, rank_tol))
+    ambient = direct_sum(polys, span([theta_v], truncation))
     removed = AnalyticSeries.monomial(power - 1, truncation, 0.25) + np.conj(wt) * theta_v
-    return complement_within(ambient, span([removed], truncation, rank_tol))
+    return complement_within(ambient, span([removed], truncation))
 
 
 def _stack_clauses(frame: CgpFrame, cap: int) -> np.ndarray:
@@ -746,9 +619,7 @@ def _constraint_violation(frame: CgpFrame, k_vectors: Sequence[np.ndarray]) -> f
 
 
 def k_membership(
-    frame: CgpFrame,
-    k_list: Sequence[AnalyticSeries],
-    tol: float = 1e-8,
+    frame: CgpFrame, k_list: Sequence[AnalyticSeries]
 ) -> tuple[bool, float]:
     """Whether the coefficient tuple satisfies every clause of the frame."""
     if len(k_list) != frame.slot_count:
@@ -757,7 +628,7 @@ def k_membership(
         )
     vectors = [k.resized(frame.truncation).coeffs for k in k_list]
     worst = _constraint_violation(frame, vectors)
-    return worst < tol, worst
+    return worst < CONSTRAINT_TOL, worst
 
 
 def cgp_decompose(
@@ -858,25 +729,23 @@ def verify_corollary(
     pert: PerturbationSpec,
     truncation: int,
     inner_truncation: int = DEFAULT_INNER_TRUNCATION,
-    rank_tol: float = 1e-9,
-    membership_tol: float = 1e-8,
-    constraint_tol: float = 1e-8,
+    rank_tol: float = DEFAULT_RANK_TOL,
+    membership_tol: float = MEMBERSHIP_TOL,
+    constraint_tol: float = CONSTRAINT_TOL,
     seed: int = 0,
-    frame_builder: Callable | None = None,
+    frame: CgpFrame | None = None,
 ) -> RepresentationReport:
     """Bidirectional check of the kernel representation for one instance.
 
     The kernel is the instance's, extracted on the interior window
     truncation // 2, which keeps band-cutoff artifacts out of the comparison.
+    frame defaults to the instance's own representation frame; pass one to
+    check another representation of the same kernel.
     """
     inst = Instance(sym, pert, truncation, rank_tol)
     m = inst.kernel
-    if frame_builder is not None:
-        frame = frame_builder(sym, inst.perturbation, truncation, inner_truncation)
-    else:
-        frame = _instance_frame(
-            inst, inner_truncation, DEGENERATE_BRANCH_TOL, DIVISIBILITY_TOL
-        )
+    if frame is None:
+        frame = _instance_frame(inst, inner_truncation)
     notes = list(frame.notes)
     if frame.expected_trivial:
         passed = m.dim == 0
@@ -1030,20 +899,18 @@ def remark_projection_direct(
     g: AnalyticSeries,
     mu: complex,
     truncation: int,
-    rank_tol: float = 1e-9,
-    membership_tol: float = 1e-8,
 ) -> AnalyticSeries:
     """The same projection computed from explicit orthonormal frames."""
     v, g = v.resized(truncation), g.resized(truncation)
     theta_exp = blaschke_expand(theta, truncation)
     k_theta = model_space(theta, truncation)
-    ok, resid = contains(k_theta, g, membership_tol)
+    ok, resid = contains(k_theta, g, MEMBERSHIP_TOL)
     if not ok:
         raise InputError(
             f"g must lie in the model space (residual {resid:.2e})"
         )
     theta_v = multiply_analytic(theta_exp, v)
-    ambient = direct_sum(k_theta, span([theta_v], truncation, rank_tol))
-    removed = span([g + mu * theta_v], truncation, rank_tol)
+    ambient = direct_sum(k_theta, span([theta_v], truncation))
+    removed = span([g + mu * theta_v], truncation)
     m = complement_within(ambient, removed)
     return projection_of_one(m)

@@ -76,7 +76,7 @@ def model_space(
 ) -> Subspace:
     """Kernel of the conjugate-inner Toeplitz matrix (truncated model space)."""
     sym = conj_on_circle(blaschke_expand(theta, truncation))
-    return kernel_subspace(toeplitz_matrix(sym, label="conj-inner"), rank_tol)
+    return kernel_subspace(toeplitz_matrix(sym), rank_tol)
 
 
 def conj_toeplitz_apply(f: AnalyticSeries, h: AnalyticSeries) -> AnalyticSeries:
@@ -131,9 +131,14 @@ class Instance:
         return kernel_subspace(self.operator, self.rank_tol, column_cap=self.column_cap)
 
     @cached_property
+    def vanishing(self) -> Subspace:
+        """Kernel members with vanishing constant coefficient."""
+        return vanish_at_zero(self.kernel)
+
+    @cached_property
     def defect(self) -> DefectReport:
         """Minimal near-invariance defect of the kernel."""
-        return minimal_defect(self.kernel)
+        return minimal_defect(self.kernel, self.vanishing)
 
     @cached_property
     def theta(self) -> AnalyticSeries:
@@ -306,6 +311,10 @@ class WitnessReport:
     def max_w_in_space_residual(self) -> float:
         return max((e.w_in_space_residual for e in self.entries), default=0.0)
 
+    def passed(self, tol: float) -> bool:
+        """Every S*h + w lies in the kernel and every w in F, both below tol."""
+        return self.max_membership_residual < tol and self.max_w_in_space_residual < tol
+
     def to_json_dict(self) -> dict:
         return {
             "max_membership_residual": self.max_membership_residual,
@@ -349,7 +358,7 @@ def verify_defect_theorem(
         max_residual_outside_theorem_space=worst_outside,
     )
     entries = []
-    vanishing = vanish_at_zero(m)
+    vanishing = inst.vanishing
     for j in range(vanishing.dim):
         h = AnalyticSeries(vanishing.frame[:, j].copy(), truncation)
         w = defect_witness(inst, h, kernel_tol=witness_tol)

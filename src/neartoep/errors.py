@@ -24,10 +24,6 @@ class NotInvertibleError(InputError):
     """Polynomial has a root in the closed unit disk."""
 
 
-class BoundaryAmbiguityError(InputError):
-    """Polynomial root too close to the unit circle to classify."""
-
-
 class HypothesisViolationError(InputError):
     """Operator identity invoked outside its validity hypotheses."""
 

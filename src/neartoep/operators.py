@@ -237,11 +237,10 @@ class PerturbationSpec:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense matrix in the monomial basis plus a provenance label."""
+    """Dense matrix in the monomial basis."""
 
     entries: np.ndarray
     truncation: int
-    label: str = ""
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(self.entries, dtype=np.complex128)
@@ -253,21 +252,21 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", arr)
 
 
-def toeplitz_matrix(g: LaurentSeries, label: str = "") -> OperatorMatrix:
+def toeplitz_matrix(g: LaurentSeries) -> OperatorMatrix:
     """Matrix with entry (j, k) equal to the Fourier coefficient of g at j - k."""
     n = g.truncation
     col = g.coeffs[n : 2 * n]            # indices 0..n-1
     row = g.coeffs[n : 0 : -1][:n]       # indices 0, -1, ..., -(n-1)
-    return OperatorMatrix(scipy.linalg.toeplitz(col, row), n, label or "toeplitz")
+    return OperatorMatrix(scipy.linalg.toeplitz(col, row), n)
 
 
-def perturbed_matrix(base: OperatorMatrix, pert: PerturbationSpec, label: str = "") -> OperatorMatrix:
+def perturbed_matrix(base: OperatorMatrix, pert: PerturbationSpec) -> OperatorMatrix:
     """Add the rank-n tail sum_i v_i <., u_i> to a base matrix."""
     n = base.truncation
     entries = base.entries.copy()
     if pert.terms:
         entries += pert.v_matrix(n) @ pert.u_matrix(n).conj().T
-    return OperatorMatrix(entries, n, label or f"{base.label}+rank{pert.rank_bound}")
+    return OperatorMatrix(entries, n)
 
 
 def apply(op: OperatorMatrix, f: AnalyticSeries) -> AnalyticSeries:

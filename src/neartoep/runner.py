@@ -351,10 +351,6 @@ def run_scenario(scenario: Scenario, stabilize: bool = True) -> ScenarioReport:
             outcomes.append(CheckOutcome("defect", report.passed, report.to_json_dict()))
         elif check == "witness":
             _, witness = defect_results()
-            ok = (
-                witness.max_membership_residual < tol.membership
-                and witness.max_w_in_space_residual < tol.membership
-            )
             details = {
                 "entries": len(witness.entries),
                 "max_membership_residual": witness.max_membership_residual,
@@ -364,7 +360,9 @@ def run_scenario(scenario: Scenario, stabilize: bool = True) -> ScenarioReport:
                     for e in witness.entries
                 ],
             }
-            outcomes.append(CheckOutcome("witness", ok, details))
+            outcomes.append(
+                CheckOutcome("witness", witness.passed(tol.membership), details)
+            )
         else:
             rep = verify_corollary(
                 scenario.symbol,

@@ -180,10 +180,6 @@ class LaurentSeries:
         """Coefficients at indices 0..N-1 (index N is headroom, dropped)."""
         return self.coeffs[self.truncation : 2 * self.truncation].copy()
 
-    def negative_part(self) -> np.ndarray:
-        """Coefficients at indices -N..-1."""
-        return self.coeffs[: self.truncation].copy()
-
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         _same_truncation(self, other)
         return LaurentSeries(self.coeffs + other.coeffs, self.truncation)

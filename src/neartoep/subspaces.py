@@ -267,15 +267,14 @@ class DefectReport:
         }
 
 
-def minimal_defect(m: Subspace, rank_tol: float | None = None) -> DefectReport:
-    """Rank of the part of S*(members vanishing at 0) sticking out of m.
+def minimal_defect(m: Subspace, w: Subspace) -> DefectReport:
+    """Rank of the part of S*w sticking out of m, for w = vanish_at_zero(m).
 
     The singular-value threshold is absolute-normalized (frames are
     orthonormal, so backshifted columns have norm at most one); an empty
     or fully invariant input reports defect 0.
     """
-    tol = m.rank_tol if rank_tol is None else rank_tol
-    w = vanish_at_zero(m)
+    tol = m.rank_tol
     if w.dim == 0:
         return DefectReport(0, Subspace.zero(m.truncation, tol), ())
     shifted = np.zeros_like(w.frame)

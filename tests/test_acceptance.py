@@ -252,10 +252,8 @@ def test_criterion_4_monomial_kernel_and_constraints():
             if angle >= SPLIT_ANGLE_TOL:
                 failures.append(f"{tag}: angle {angle:.2e}")
 
-            def builder(sym_b, pert_b, trunc, inner, power=power):
-                return build_monomial_split_frame(power, pert_b, trunc, inner)
-
-            rep = verify_corollary(sym, pert, n, frame_builder=builder)
+            frame = build_monomial_split_frame(power, pert, n)
+            rep = verify_corollary(sym, pert, n, frame=frame)
             if not rep.passed:
                 failures.append(
                     f"{tag}: representation failed "
@@ -307,7 +305,7 @@ def test_criterion_6_exact_nullspace_agreement():
         size = int(rng.integers(2, 9))
         matrix = gaussian_integer_matrix(rng, size)
         numeric = kernel_subspace(
-            OperatorMatrix(matrix.astype(np.complex128), size, "probe"), 1e-9
+            OperatorMatrix(matrix.astype(np.complex128), size), 1e-9
         )
         exact = exact_nullspace(matrix)
         if numeric.dim != exact.shape[1]:

@@ -1,10 +1,10 @@
-"""Blaschke products: expansions, boundary modulus, polynomial factoring."""
+"""Blaschke products: expansions, boundary modulus, JSON round trips."""
 
 import numpy as np
 import pytest
 
-from neartoep.blaschke import BlaschkeProduct, blaschke_expand, inner_outer_factor
-from neartoep.errors import BoundaryAmbiguityError, InputError
+from neartoep.blaschke import BlaschkeProduct, blaschke_expand
+from neartoep.errors import InputError
 from neartoep.series import (
     AnalyticSeries,
     conj_on_circle,
@@ -88,23 +88,3 @@ def test_json_round_trip():
     assert again == b
     with pytest.raises(InputError):
         BlaschkeProduct.from_json_dict({"zeros": [{"point": [0.1]}]})
-
-
-def test_inner_outer_factor_reassembles_exactly():
-    n = 32
-    # roots at 0.5 (inner) and 2 (outer), double zero at the origin
-    p = AnalyticSeries.from_coeffs(np.convolve([0, 0, 1], np.convolve([-0.5, 1], [-2, 1])), n)
-    inner, outer = inner_outer_factor(p)
-    assert inner.z_power == 2
-    assert [pt for pt, _ in inner.zeros] == [pytest.approx(0.5)]
-    # outer part has no disk roots
-    body = outer.coeffs[: outer.degree() + 1]
-    assert np.min(np.abs(np.roots(body[::-1]))) > 1.0
-    recon = multiply_analytic(blaschke_expand(inner, n), outer)
-    assert np.allclose(recon.coeffs, p.coeffs, atol=1e-12)
-
-
-def test_inner_outer_factor_flags_boundary_roots():
-    p = AnalyticSeries.from_coeffs([-1.0, 1.0], 8)  # root exactly on the circle
-    with pytest.raises(BoundaryAmbiguityError):
-        inner_outer_factor(p)

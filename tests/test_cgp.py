@@ -228,10 +228,8 @@ def test_monomial_split_kernel_matches_displayed_span():
     assert expected.dim == computed.dim
     assert float(principal_angles(expected, computed).max(initial=0.0)) < 1e-7
 
-    def builder(sym_b, pert_b, trunc, inner):
-        return build_monomial_split_frame(m_pow, pert_b, trunc, inner)
-
-    rep = verify_corollary(sym, pert, N, INNER, frame_builder=builder)
+    frame = build_monomial_split_frame(m_pow, pert, N, INNER)
+    rep = verify_corollary(sym, pert, N, INNER, frame=frame)
     assert rep.passed
 
 
@@ -250,11 +248,10 @@ def test_generic_head_gap_persists():
     # stable feature of the branch, not a resolution artifact
     sym, pert = _monomial_split_instance(N, 1, head=0.5)
 
-    def builder(sym_b, pert_b, trunc, inner):
-        return build_monomial_split_frame(1, pert_b, trunc, inner)
-
-    rep_n = verify_corollary(sym, pert, N, INNER, frame_builder=builder)
-    rep_2n = verify_corollary(sym, pert.resized(2 * N), 2 * N, INNER, frame_builder=builder)
+    frame_n = build_monomial_split_frame(1, pert, N, INNER)
+    frame_2n = build_monomial_split_frame(1, pert.resized(2 * N), 2 * N, INNER)
+    rep_n = verify_corollary(sym, pert, N, INNER, frame=frame_n)
+    rep_2n = verify_corollary(sym, pert.resized(2 * N), 2 * N, INNER, frame=frame_2n)
     assert not rep_n.passed and not rep_2n.passed
     assert rep_n.forward_max_residual > GAP_FLOOR
     assert rep_2n.forward_max_residual > GAP_FLOOR

@@ -9,10 +9,12 @@ from conftest import (
     random_blaschke,
     seeded_perturbation,
 )
-from neartoep import defects, series
+from neartoep import defects, series, subspaces
 from neartoep.blaschke import BlaschkeProduct, blaschke_expand
 from neartoep.defects import (
     Instance,
+    WitnessEntry,
+    WitnessReport,
     defect_witness,
     lambda_set,
     model_space,
@@ -188,6 +190,24 @@ def test_invertible_check_inverts_each_factor_once(monkeypatch):
     report, _ = verify_defect_theorem(sym, pert, N)
     assert report.passed
     assert len(calls) == 2
+
+
+def test_zero_symbol_check_restricts_the_kernel_to_h0_zero_once(monkeypatch):
+    rng = np.random.default_rng(202)
+    pert = seeded_perturbation(rng, N, rank=2, max_degree=6)
+    calls = count_calls(monkeypatch, subspaces, "vanish_at_zero")
+    report, witness = verify_defect_theorem(ZeroSymbol(), pert, N)
+    assert report.passed and witness.entries
+    assert len(calls) == 1
+
+
+def test_witness_pass_rule_is_strict():
+    zero = AnalyticSeries.zero(4)
+    report = WitnessReport((WitnessEntry(zero, 1e-8, 0.0), WitnessEntry(zero, 0.0, 5e-9)))
+    assert not report.passed(1e-8)
+    assert report.passed(1.0000001e-8)
+    assert not WitnessReport((WitnessEntry(zero, 0.0, 2e-8),)).passed(2e-8)
+    assert WitnessReport(()).passed(1e-8)
 
 
 def test_defect_matches_brute_force_on_small_case():

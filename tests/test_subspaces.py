@@ -102,7 +102,7 @@ def test_svd_kernel_matches_exact_row_reduction():
         n = int(rng.integers(2, 9))
         mat = gaussian_integer_matrix(rng, n)
         exact = exact_nullspace(mat)
-        op = OperatorMatrix(mat.astype(np.complex128), n, "probe")
+        op = OperatorMatrix(mat.astype(np.complex128), n)
         numeric = kernel_subspace(op, 1e-9)
         assert numeric.dim == exact.shape[1]
         if exact.shape[1]:
@@ -112,7 +112,7 @@ def test_svd_kernel_matches_exact_row_reduction():
 
 
 def test_kernel_subspace_zero_operator_is_degenerate():
-    op = OperatorMatrix(np.zeros((6, 6), dtype=np.complex128), 6, "zero")
+    op = OperatorMatrix(np.zeros((6, 6), dtype=np.complex128), 6)
     m = kernel_subspace(op, 1e-9, column_cap=3)
     assert m.degenerate and m.dim == 3
     # frame still lives in the full space
@@ -120,7 +120,7 @@ def test_kernel_subspace_zero_operator_is_degenerate():
 
 
 def test_kernel_column_cap_bounds():
-    op = OperatorMatrix(np.eye(4, dtype=np.complex128), 4, "id")
+    op = OperatorMatrix(np.eye(4, dtype=np.complex128), 4)
     assert kernel_subspace(op, 1e-9).dim == 0
     with pytest.raises(InputError):
         kernel_subspace(op, 1e-9, column_cap=5)
@@ -206,10 +206,10 @@ def test_minimal_defect_on_shift_invariant_space():
     n = 16
     # span{1, z, z^2} is backward-shift invariant: defect 0
     k3 = span([AnalyticSeries.monomial(j, n) for j in range(3)], n)
-    assert minimal_defect(k3).defect_dim == 0
+    assert minimal_defect(k3, vanish_at_zero(k3)).defect_dim == 0
     # span{1, z^2}: backshift of z^2 is z, outside: defect 1
     gap = span([AnalyticSeries.monomial(0, n), AnalyticSeries.monomial(2, n)], n)
-    report = minimal_defect(gap)
+    report = minimal_defect(gap, vanish_at_zero(gap))
     assert report.defect_dim == 1
     assert report.residual_frame.dim == 1
     assert abs(report.residual_frame.frame[1, 0]) == pytest.approx(1.0)
@@ -219,6 +219,7 @@ def test_minimal_defect_on_shift_invariant_space():
 
 def test_minimal_defect_empty_and_constant_spaces():
     n = 8
-    assert minimal_defect(Subspace.zero(n)).defect_dim == 0
+    empty = Subspace.zero(n)
+    assert minimal_defect(empty, vanish_at_zero(empty)).defect_dim == 0
     constants = span([AnalyticSeries.from_coeffs([1.0], n)], n)
-    assert minimal_defect(constants).defect_dim == 0
+    assert minimal_defect(constants, vanish_at_zero(constants)).defect_dim == 0
