@@ -510,6 +510,10 @@ def build_monomial_split_frame(
     Expects u = z^(power-1)/4 + u2 with u2 supported on degrees >= power and
     a unit-norm v; the constant slot is multiplied by 1 rather than by the
     projection vector, so the frame is non-orthogonal but still exact.
+
+    The paper's third slot map is
+    M(S z^(power-1)) + M(S 4 conj(w) theta v) - 4 conj(w) M(S theta v),
+    with S the shift; its last two terms cancel, so it is built as the first.
     """
     u, v, theta_exp, wt, theta_v = _monomial_split_setup(power, pert, truncation)
     head = np.zeros(power, dtype=np.complex128)
@@ -524,11 +528,7 @@ def build_monomial_split_frame(
     v_at_zero = v.coeffs[0]
     nsv = backshift(v).norm()
     a1 = mult_matrix(multiply_analytic(theta_exp, v - v_at_zero * one) * (1.0 / nsv))
-    a2 = (
-        mult_matrix(shift(AnalyticSeries.monomial(power - 1, truncation)))
-        + mult_matrix(shift(theta_v * (4.0 * np.conj(wt))))
-        - mult_matrix(shift(theta_v)) * (4.0 * np.conj(wt))
-    )
+    a2 = mult_matrix(shift(AnalyticSeries.monomial(power - 1, truncation)))
     v0 = AnalyticSeries.monomial(power - 1, truncation, 0.25) + np.conj(wt) * theta_v
     v1 = riesz_project(
         multiply(embed(v), conj_on_circle(v - v_at_zero * one))
@@ -586,7 +586,8 @@ def _nullspace(matrix: np.ndarray, rank_tol: float) -> np.ndarray:
     cols = matrix.shape[1]
     if matrix.shape[0] == 0:
         return np.eye(cols, dtype=np.complex128)
-    _, svals, vh = np.linalg.svd(matrix, full_matrices=True)
+    # The trailing rows of a full V are needed only when rows < cols.
+    _, svals, vh = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < cols)
     if svals.size == 0 or svals[0] == 0.0:
         return np.eye(cols, dtype=np.complex128)
     rank = int(np.sum(svals > rank_tol * svals[0]))
@@ -651,41 +652,63 @@ def cgp_decompose(
         )
     cap = inner_truncation
     big = np.hstack([m[:, :cap] for m in frame.slot_maps])
-    target = f.resized(n).coeffs
-    solution, *_ = np.linalg.lstsq(big, target, rcond=None)
-    k_vectors = _split_stacked(solution, frame.slot_count, cap, n)
-    fit = float(
-        np.linalg.norm(big @ solution - target) / max(1.0, np.linalg.norm(target))
-    )
-    return [AnalyticSeries(k, n) for k in k_vectors], fit
+    solution, fit = _slot_fit(big, f.resized(n).coeffs[:, None])
+    k_vectors = _split_stacked(solution[:, 0], frame.slot_count, cap, n)
+    return [AnalyticSeries(k, n) for k in k_vectors], float(fit[0])
+
+
+def _slot_fit(big: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm solutions of big @ x = t for every column t of targets.
+
+    Returns the stacked solutions, one column per target, and each column's
+    residual norm relative to max(1, |t|).  One lstsq call serves every
+    column: the minimum-norm solution of a column does not depend on the
+    others (Golub & Van Loan, Matrix Computations, sec. 5.5).
+    """
+    solution, *_ = np.linalg.lstsq(big, targets, rcond=None)
+    return solution, _relative_fit(big, solution, targets)
+
+
+def _relative_fit(big: np.ndarray, solution: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    residual = np.linalg.norm(big @ solution - targets, axis=0)
+    return residual / np.maximum(1.0, np.linalg.norm(targets, axis=0))
+
+
+def _clause_violation(clauses: np.ndarray, solution: np.ndarray) -> np.ndarray:
+    """Per column: largest clause residual over max(1, |stacked tuple|)."""
+    worst = np.max(np.abs(clauses @ solution), axis=0, initial=0.0)
+    return worst / np.maximum(1.0, np.linalg.norm(solution, axis=0))
 
 
 def _reverse_fit(
     frame: CgpFrame,
-    target: np.ndarray,
+    targets: np.ndarray,
     cap: int,
     rank_tol: float,
     constraint_tol: float,
-    null_basis: np.ndarray | None,
-) -> tuple[list, float, float, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slot tuples for every column of targets, with fits and violations.
+
+    Every column gets the minimum-norm tuple; the columns whose tuple breaks
+    a clause by more than constraint_tol are refit together on the clause
+    nullspace, when it is not empty.
+    """
     big = np.hstack([m[:, :cap] for m in frame.slot_maps])
-    solution, *_ = np.linalg.lstsq(big, target, rcond=None)
-    k_vectors = _split_stacked(solution, frame.slot_count, cap, frame.truncation)
-    fit = float(np.linalg.norm(big @ solution - target) / max(1.0, np.linalg.norm(target)))
-    violation = _constraint_violation(frame, k_vectors)
-    if violation <= constraint_tol:
-        return k_vectors, fit, violation, null_basis
-    if null_basis is None:
-        null_basis = _nullspace(_stack_clauses(frame, cap), rank_tol)
-    if null_basis.shape[1]:
-        reduced, *_ = np.linalg.lstsq(big @ null_basis, target, rcond=None)
-        stacked = null_basis @ reduced
-        k_vectors = _split_stacked(stacked, frame.slot_count, cap, frame.truncation)
-        fit = float(
-            np.linalg.norm(big @ stacked - target) / max(1.0, np.linalg.norm(target))
-        )
-        violation = _constraint_violation(frame, k_vectors)
-    return k_vectors, fit, violation, null_basis
+    clauses = _stack_clauses(frame, cap)
+    solution, fit = _slot_fit(big, targets)
+    violation = _clause_violation(clauses, solution)
+    broken = violation > constraint_tol
+    if broken.any():
+        null_basis = _nullspace(clauses, rank_tol)
+        if null_basis.shape[1]:
+            reduced, *_ = np.linalg.lstsq(
+                big @ null_basis, targets[:, broken], rcond=None
+            )
+            stacked = null_basis @ reduced
+            solution[:, broken] = stacked
+            fit[broken] = _relative_fit(big, stacked, targets[:, broken])
+            violation[broken] = _clause_violation(clauses, stacked)
+    return solution, fit, violation
 
 
 @dataclass(frozen=True)
@@ -812,17 +835,17 @@ def verify_corollary(
     reverse_max = 0.0
     constraint_max = 0.0
     norm_err: float | None = 0.0 if frame.isometric else None
-    null_rev: np.ndarray | None = None
-    for j in range(m.dim):
-        target = m.frame[:, j]
-        k_vectors, fit, violation, null_rev = _reverse_fit(
-            frame, target, cap_rev, rank_tol, constraint_tol, null_rev
+    if m.dim:
+        solution, fit, violation = _reverse_fit(
+            frame, m.frame, cap_rev, rank_tol, constraint_tol
         )
-        reverse_max = max(reverse_max, fit)
-        constraint_max = max(constraint_max, violation)
+        reverse_max = float(np.max(fit))
+        constraint_max = float(np.max(violation))
         if frame.isometric:
-            total = sum(np.linalg.norm(k) ** 2 for k in k_vectors)
-            norm_err = max(norm_err, abs(np.linalg.norm(target) ** 2 - total))
+            # sum_j |k_j|^2 is the squared norm of the stacked tuple.
+            target_sq = np.linalg.norm(m.frame, axis=0) ** 2
+            tuple_sq = np.linalg.norm(solution, axis=0) ** 2
+            norm_err = float(np.max(np.abs(target_sq - tuple_sq)))
     audit: float | None = None
     if image_vectors and k_dim <= SAMPLE_CAP and m.dim > 0:
         image_span = span(

@@ -31,7 +31,7 @@ EXIT_INPUT_ERROR = 2
 
 
 def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True) + "\n"
     Path(path).write_text(text, encoding="utf-8")
 
 

@@ -131,7 +131,8 @@ def kernel_subspace(
     if not 0 < cap <= n:
         raise InputError(f"column cap {cap} outside 1..{n}")
     mat = op.entries[:, :cap]
-    _, s, vh = np.linalg.svd(mat)
+    # mat is n x cap with cap <= n, so the thin vh is already cap x cap.
+    _, s, vh = np.linalg.svd(mat, full_matrices=False)
     if s.size == 0 or s[0] <= ZERO_OPERATOR_FLOOR:
         frame = np.zeros((n, cap), dtype=np.complex128)
         frame[:cap, :cap] = np.eye(cap)

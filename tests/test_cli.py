@@ -265,3 +265,13 @@ def test_cli_verify_paper_low_resolution_fails_cleanly(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "FAILED: rep-annihilator-kernel-direction" in captured.err
+
+
+def test_cli_report_is_single_line_sorted_json(tmp_path, capsys):
+    # The writer's format is pinned: a switch back to indented output must
+    # be made on purpose.
+    out = tmp_path / "catalogue.json"
+    main(["verify-paper", "--truncation", "64", "--json-out", str(out)])
+    raw = out.read_bytes()
+    redumped = json.dumps(json.loads(raw), sort_keys=True) + "\n"
+    assert redumped.encode("utf-8") == raw

@@ -232,3 +232,16 @@ def test_defect_matches_brute_force_on_small_case():
         resid.append(sh.coeffs - m.frame @ (m.frame.conj().T @ sh.coeffs))
     rank = np.linalg.matrix_rank(np.column_stack(resid), tol=1e-9)
     assert rank == report.defect_dim
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the 6th kernel singular value (5.8e-9) sits in "
+    "the rank-ambiguity band, so N = 64 reports defect 4 and a residual of "
+    "1.2e-3 outside F where N >= 96 reports defect 5 inside it",
+)
+def test_conj_inner_defect_is_contained_at_n64():
+    theta = BlaschkeProduct.from_points([0.3, -0.4j], z_power=4)
+    pert = seeded_perturbation(np.random.default_rng(505), 64, 3, 6)
+    report, _ = verify_defect_theorem(ConjInnerSymbol(theta), pert, 64)
+    assert report.passed

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from neartoep.errors import ConditioningError, InputError
 from neartoep.operators import OperatorMatrix
@@ -109,6 +110,20 @@ def test_svd_kernel_matches_exact_row_reduction():
             oracle = span(exact.T, n)
             angles = principal_angles(numeric, oracle)
             assert float(angles.max(initial=0.0)) < ORACLE_ANGLE_TOL
+
+
+def test_kernel_subspace_of_a_tall_block_matches_scipy_null_space():
+    rng = np.random.default_rng(2024)
+    n, cap, rank = 40, 24, 17
+    left = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    right = rng.standard_normal((rank, n)) + 1j * rng.standard_normal((rank, n))
+    op = OperatorMatrix(left @ right, n)
+    numeric = kernel_subspace(op, 1e-9, column_cap=cap)
+    oracle = np.zeros((n, cap - rank), dtype=np.complex128)
+    oracle[:cap] = scipy.linalg.null_space(op.entries[:, :cap])
+    assert numeric.dim == cap - rank
+    angles = principal_angles(numeric, Subspace(oracle, n))
+    assert float(angles.max()) < ORACLE_ANGLE_TOL
 
 
 def test_kernel_subspace_zero_operator_is_degenerate():
