@@ -23,7 +23,7 @@ from .cgp import (
     remark_projection_formula,
     verify_corollary,
 )
-from .defects import WITNESS_KERNEL_TOL, Instance, model_space, verify_defect_theorem
+from .defects import WITNESS_KERNEL_TOL, Instance, check_defect_theorem, model_space
 from .errors import InputError
 from .operators import (
     ConjInnerSymbol,
@@ -112,9 +112,7 @@ def _orth_against(f: AnalyticSeries, *units: AnalyticSeries) -> AnalyticSeries:
 
 
 def _defect_details(inst: Instance) -> tuple[bool, dict]:
-    report, witness = verify_defect_theorem(
-        inst.symbol, inst.perturbation, inst.truncation
-    )
+    report, witness = check_defect_theorem(inst)
     ok = report.passed and witness.passed(WITNESS_KERNEL_TOL)
     details = {
         "defect": report.to_json_dict(),

@@ -49,6 +49,7 @@ from .subspaces import (
     DEFAULT_RANK_TOL,
     Subspace,
     _fix_phases,
+    _right_svd,
     complement_within,
     contains,
     direct_sum,
@@ -586,8 +587,11 @@ def _nullspace(matrix: np.ndarray, rank_tol: float) -> np.ndarray:
     cols = matrix.shape[1]
     if matrix.shape[0] == 0:
         return np.eye(cols, dtype=np.complex128)
-    # The trailing rows of a full V are needed only when rows < cols.
-    _, svals, vh = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < cols)
+    if matrix.shape[0] >= cols:
+        svals, vh = _right_svd(matrix)
+    else:
+        # The trailing rows of the full V span the rest of the null space.
+        _, svals, vh = np.linalg.svd(matrix, full_matrices=True)
     if svals.size == 0 or svals[0] == 0.0:
         return np.eye(cols, dtype=np.complex128)
     rank = int(np.sum(svals > rank_tol * svals[0]))

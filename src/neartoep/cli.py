@@ -111,7 +111,7 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
 
 def _cmd_defect(args: argparse.Namespace) -> int:
     scenario = _single_scenario(args.scenario_file, args)
-    report, witness = scenario_defects(scenario)
+    report, witness = scenario_defects(scenario, scenario.instance())
     ok = report.passed
     contained = "contained" if report.contained_in_theorem_space else "NOT contained"
     print(

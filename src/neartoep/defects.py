@@ -323,28 +323,23 @@ class WitnessReport:
         }
 
 
-def verify_defect_theorem(
-    sym: Symbol,
-    pert: PerturbationSpec,
-    truncation: int,
-    rank_tol: float = 1e-9,
+def check_defect_theorem(
+    inst: Instance,
     containment_tol: float = 1e-7,
     witness_tol: float = WITNESS_KERNEL_TOL,
 ) -> tuple[DefectReport, WitnessReport]:
-    """End-to-end check of the defect prediction for one instance.
+    """End-to-end check of the defect prediction on an instance's kernel.
 
     Failures land in the report fields; only malformed inputs raise.
     """
-    _require_defect_case(sym)
-    inst = Instance(sym, pert, truncation, rank_tol)
+    _require_defect_case(inst.symbol)
+    n = inst.truncation
     m = inst.kernel
     base = inst.defect
     f_space = inst.defect_space
     # S*M sits inside M + F; residual directions are orthogonal to M already,
     # so containment is tested against the joint span, not F alone.
-    joint = span(
-        list(m.frame.T) + list(f_space.frame.T), truncation, rank_tol=rank_tol
-    )
+    joint = span(list(m.frame.T) + list(f_space.frame.T), n, rank_tol=inst.rank_tol)
     worst_outside = 0.0
     for j in range(base.residual_frame.dim):
         _, resid = contains(joint, base.residual_frame.frame[:, j], containment_tol)
@@ -360,7 +355,7 @@ def verify_defect_theorem(
     entries = []
     vanishing = inst.vanishing
     for j in range(vanishing.dim):
-        h = AnalyticSeries(vanishing.frame[:, j].copy(), truncation)
+        h = AnalyticSeries(vanishing.frame[:, j].copy(), n)
         w = defect_witness(inst, h, kernel_tol=witness_tol)
         candidate = backshift(h) + w
         scale = max(1.0, candidate.norm())
@@ -371,3 +366,17 @@ def verify_defect_theorem(
             _, w_resid = contains(f_space, w, witness_tol)
         entries.append(WitnessEntry(w, float(membership), float(w_resid)))
     return report, WitnessReport(tuple(entries))
+
+
+def verify_defect_theorem(
+    sym: Symbol,
+    pert: PerturbationSpec,
+    truncation: int,
+    rank_tol: float = 1e-9,
+    containment_tol: float = 1e-7,
+    witness_tol: float = WITNESS_KERNEL_TOL,
+) -> tuple[DefectReport, WitnessReport]:
+    """check_defect_theorem on a fresh instance built from raw operator data."""
+    return check_defect_theorem(
+        Instance(sym, pert, truncation, rank_tol), containment_tol, witness_tol
+    )

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .cgp import DEFAULT_INNER_TRUNCATION, verify_corollary
-from .defects import Instance, WitnessReport, verify_defect_theorem
+from .defects import Instance, WitnessReport, check_defect_theorem
 from .errors import HeadroomError, InputError
 from .operators import (
     ConjInnerSymbol,
@@ -316,16 +316,14 @@ def kernel_outcome(inst: Instance) -> CheckOutcome:
     return CheckOutcome("kernel", not ambiguous, details)
 
 
-def scenario_defects(scenario: Scenario) -> tuple[DefectReport, WitnessReport]:
-    """The defect theorem check at the scenario's tolerances."""
-    tol = scenario.tolerances
-    return verify_defect_theorem(
-        scenario.symbol,
-        scenario.perturbation,
-        scenario.truncation,
-        rank_tol=tol.rank,
+def scenario_defects(
+    scenario: Scenario, inst: Instance
+) -> tuple[DefectReport, WitnessReport]:
+    """The defect theorem check on the scenario's instance, at its tolerances."""
+    return check_defect_theorem(
+        inst,
         containment_tol=CONTAINMENT_TOL,
-        witness_tol=tol.membership,
+        witness_tol=scenario.tolerances.membership,
     )
 
 
@@ -334,23 +332,15 @@ def run_scenario(scenario: Scenario, stabilize: bool = True) -> ScenarioReport:
     start = time.perf_counter()
     tol = scenario.tolerances
     inst = scenario.instance()
-    defect_pair = None
-
-    def defect_results():
-        nonlocal defect_pair
-        if defect_pair is None:
-            defect_pair = scenario_defects(scenario)
-        return defect_pair
-
+    if {"defect", "witness"} & set(scenario.checks):
+        report, witness = scenario_defects(scenario, inst)
     outcomes = []
     for check in scenario.checks:
         if check == "kernel":
             outcomes.append(kernel_outcome(inst))
         elif check == "defect":
-            report, _ = defect_results()
             outcomes.append(CheckOutcome("defect", report.passed, report.to_json_dict()))
         elif check == "witness":
-            _, witness = defect_results()
             details = {
                 "entries": len(witness.entries),
                 "max_membership_residual": witness.max_membership_residual,

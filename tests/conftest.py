@@ -111,3 +111,22 @@ def count_calls(monkeypatch, module, name):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+def linalg_calls(monkeypatch, name):
+    """Record the arguments of every call to numpy.linalg.name.
+
+    Library code looks the function up on numpy.linalg at each call, so it
+    is patched there (count_calls rebinds only names held by neartoep
+    modules).  Returns the list of (args, kwargs) pairs, filled as calls
+    happen.
+    """
+    original = getattr(np.linalg, name)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recorded)
+    return calls

@@ -131,9 +131,14 @@ def test_run_scenario_without_stabilization():
     assert "elapsed" not in json.dumps(payload)
 
 
-def test_kernel_check_and_stability_audit_share_one_instance(monkeypatch):
+@pytest.mark.parametrize(
+    "checks",
+    [["kernel"], ["kernel", "defect", "witness"]],
+    ids=["kernel", "kernel-defect-witness"],
+)
+def test_kernel_check_and_stability_audit_share_one_instance(monkeypatch, checks):
     data = basic_scenario_dict()
-    data["checks"] = ["kernel"]
+    data["checks"] = checks
     scenario = scenarios_from_json(data)[0]
     calls = count_calls(monkeypatch, subspaces, "kernel_subspace")
     report = run_scenario(scenario, stabilize=True)

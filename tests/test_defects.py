@@ -15,6 +15,7 @@ from neartoep.defects import (
     Instance,
     WitnessEntry,
     WitnessReport,
+    check_defect_theorem,
     defect_witness,
     lambda_set,
     model_space,
@@ -167,6 +168,19 @@ def test_verify_defect_theorem_seeded_instance(case):
     assert report.max_residual_outside_theorem_space < CONTAINMENT_TOL
     assert witness.max_membership_residual < WITNESS_TOL
     assert witness.max_w_in_space_residual < WITNESS_TOL
+
+
+def test_check_on_an_instance_matches_the_raw_data_wrapper():
+    n = 128
+    pert = seeded_perturbation(np.random.default_rng(505), n, rank=3, max_degree=6)
+    sym = ConjInnerSymbol(BlaschkeProduct.from_points([0.3, -0.4j], z_power=4))
+    checked = check_defect_theorem(Instance(sym, pert, n), CONTAINMENT_TOL, WITNESS_TOL)
+    verified = verify_defect_theorem(
+        sym, pert, n, containment_tol=CONTAINMENT_TOL, witness_tol=WITNESS_TOL
+    )
+    assert checked[1].entries
+    for a, b in zip(checked, verified):
+        assert a.to_json_dict() == b.to_json_dict()
 
 
 def test_conj_inner_check_builds_the_model_space_once(monkeypatch):

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import linalg_calls, seeded_perturbation
+from neartoep.blaschke import BlaschkeProduct
+from neartoep.defects import Instance, model_space
 from neartoep.errors import ConditioningError, InputError
-from neartoep.operators import OperatorMatrix
+from neartoep.operators import ConjInnerSymbol, OperatorMatrix
 from neartoep.series import AnalyticSeries
 from neartoep.subspaces import (
     Subspace,
@@ -113,8 +116,9 @@ def test_svd_kernel_matches_exact_row_reduction():
 
 
 def test_kernel_subspace_of_a_tall_block_matches_scipy_null_space():
+    # 48 x 24: at least two rows per column, so the R-factor path runs.
     rng = np.random.default_rng(2024)
-    n, cap, rank = 40, 24, 17
+    n, cap, rank = 48, 24, 17
     left = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     right = rng.standard_normal((rank, n)) + 1j * rng.standard_normal((rank, n))
     op = OperatorMatrix(left @ right, n)
@@ -124,6 +128,37 @@ def test_kernel_subspace_of_a_tall_block_matches_scipy_null_space():
     assert numeric.dim == cap - rank
     angles = principal_angles(numeric, Subspace(oracle, n))
     assert float(angles.max()) < ORACLE_ANGLE_TOL
+
+
+def test_kernel_of_a_two_to_one_gaussian_integer_block_matches_row_reduction():
+    rng = np.random.default_rng(77)
+    n, cap = 16, 8
+    mat = rng.integers(-3, 4, size=(n, n)) + 1j * rng.integers(-3, 4, size=(n, n))
+    mat[:, 5] = mat[:, 2]
+    mat[:, 7] = mat[:, 0]
+    exact = exact_nullspace(mat[:, :cap])
+    assert exact.shape[1] == 2
+    numeric = kernel_subspace(OperatorMatrix(mat, n), 1e-9, column_cap=cap)
+    oracle = np.zeros((n, exact.shape[1]), dtype=np.complex128)
+    oracle[:cap] = exact
+    assert numeric.dim == exact.shape[1]
+    angles = principal_angles(numeric, span(oracle.T, n))
+    assert float(angles.max()) < ORACLE_ANGLE_TOL
+
+
+def test_tall_kernel_windows_reach_lapack_as_their_r_factor(monkeypatch):
+    n = 64
+    theta = BlaschkeProduct.from_points([0.3, -0.2])
+    pert = seeded_perturbation(np.random.default_rng(5), n, 2, 4)
+    inst = Instance(ConjInnerSymbol(theta), pert, n)
+    calls = linalg_calls(monkeypatch, "svd")
+    assert inst.kernel.dim > 0
+    # the 64 x 32 window goes in as its 32 x 32 R factor
+    assert [args[0].shape for args, _ in calls] == [(n // 2, n // 2)]
+    calls.clear()
+    model_space(theta, n)
+    # a square block keeps the plain SVD
+    assert [args[0].shape for args, _ in calls] == [(n, n)]
 
 
 def test_kernel_subspace_zero_operator_is_degenerate():
