@@ -26,18 +26,15 @@ from .operators import (
     PerturbationSpec,
     Symbol,
     ZeroSymbol,
-    apply,
     perturbed_matrix,
     symbol_fourier,
     toeplitz_matrix,
 )
 from .series import (
     AnalyticSeries,
-    LaurentSeries,
     backshift,
     conj_on_circle,
     embed,
-    inner_product,
     multiply,
     multiply_analytic,
     riesz_project,
@@ -47,10 +44,10 @@ from .subspaces import (
     DEFAULT_RANK_TOL,
     DefectReport,
     Subspace,
-    contains,
     kernel_subspace,
     minimal_defect,
     project,
+    relative_residuals,
     span,
     vanish_at_zero,
 )
@@ -167,26 +164,27 @@ class Instance:
         return taylor_invert(self.symbol.f2.resized(self.truncation))
 
     @cached_property
-    def shifted_images(self) -> tuple[AnalyticSeries, ...]:
-        """The case's corrector applied to each S*v_i (not used for g = 0).
+    def shifted_images(self) -> np.ndarray:
+        """The case's corrector applied to each S*v_i, one column per term (not for g = 0).
 
         T_conj(theta) for an inner symbol, T_{1/f1} T_conj(1/f2) for an
         invertible product, multiplication by theta for a conjugate-inner
-        symbol.  F is spanned by these (plus model parts), and a witness
-        combines them with the weights <h, u_i>.
+        symbol.  F is spanned by the columns (plus model parts), and a
+        witness combines them with the weights <h, u_i>.
         """
-        out = []
-        for _, v in self.perturbation.terms:
+        terms = self.perturbation.terms
+        out = np.zeros((self.truncation, len(terms)), dtype=np.complex128)
+        for i, (_, v) in enumerate(terms):
             sv = backshift(v)
             if isinstance(self.symbol, InnerSymbol):
-                out.append(conj_toeplitz_apply(self.theta, sv))
+                image = conj_toeplitz_apply(self.theta, sv)
             elif isinstance(self.symbol, InvertibleProductSymbol):
-                out.append(multiply_analytic(
-                    self.f1_inv, conj_toeplitz_apply(self.f2_inv, sv)
-                ))
+                image = multiply_analytic(self.f1_inv, conj_toeplitz_apply(self.f2_inv, sv))
             else:
-                out.append(multiply_analytic(self.theta, sv))
-        return tuple(out)
+                image = multiply_analytic(self.theta, sv)
+            out[:, i] = image.coeffs
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def negative_frame(self) -> np.ndarray:
@@ -203,6 +201,23 @@ class Instance:
         ]
         q, _ = np.linalg.qr(np.column_stack(b_vectors))
         return q
+
+    @cached_property
+    def negative_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, Q^H E) for the negative frame Q, read with a nonempty lambda-set.
+
+        A = P+(theta Q) is N x |lambda| and E holds the circle series
+        embed(S*v_i).  The third map of the witness, Q^H C with C the
+        multiplication of analytic vectors by conj(theta), is A^H: for x
+        analytic, <conj(theta) x, q> = <x, theta q> and only the indices
+        0..N-1 of theta q meet x.
+        """
+        n, q = self.truncation, self.negative_frame
+        theta_q = np.column_stack(
+            [np.convolve(self.theta.coeffs, col)[n : 2 * n] for col in q.T]
+        )
+        shifted_v = _backshift_columns(self.perturbation.v_matrix(n))
+        return theta_q, q[n : 2 * n].conj().T @ shifted_v
 
     @cached_property
     def defect_space(self) -> Subspace:
@@ -229,7 +244,7 @@ def theorem_defect_space(inst: Instance) -> Subspace:
         return Subspace.zero(n, inst.rank_tol)
     if isinstance(inst.symbol, ZeroSymbol):
         return span([u for u, _ in terms], n, inst.rank_tol)
-    vectors = list(inst.shifted_images)
+    vectors = list(inst.shifted_images.T)
     if isinstance(inst.symbol, ConjInnerSymbol):
         vectors += [inst.model_parts[idx - 1] for idx in sorted(inst.lambda_set)]
     return span(vectors, n, inst.rank_tol)
@@ -243,46 +258,60 @@ def theorem_defect_bound(inst: Instance) -> int:
     return n
 
 
+def _backshift_columns(mat: np.ndarray) -> np.ndarray:
+    """S* on every column: coefficients move down one index."""
+    out = np.zeros_like(mat)
+    out[:-1] = mat[1:]
+    return out
+
+
+def defect_witnesses(
+    inst: Instance,
+    hs: np.ndarray,
+    kernel_tol: float = WITNESS_KERNEL_TOL,
+) -> np.ndarray:
+    """The proof's corrector w for every column h of an N x k frame, as N x k.
+
+    Each S*h + w lies back in the kernel.  Requires every h in the kernel
+    with h(0) = 0 (validated).  w is linear in h, so all witnesses come
+    from a few matrix products; the conjugate-inner case removes the
+    component of conj(theta) S*h + sum <h, u_i> S*v_i along the negative
+    frame explicitly.
+    """
+    _require_defect_case(inst.symbol)
+    n = inst.truncation
+    hs = np.asarray(hs, dtype=np.complex128)
+    if hs.ndim != 2 or hs.shape[0] != n or not np.all(np.isfinite(hs)):
+        raise InputError(f"witness frame {hs.shape} is not a finite {n} x k array")
+    scale = kernel_tol * np.maximum(1.0, np.linalg.norm(hs, axis=0))
+    if np.any(np.abs(hs[0]) > scale):
+        raise HypothesisViolationError("witness needs h(0) = 0")
+    if np.any(np.linalg.norm(inst.operator.entries @ hs, axis=0) > scale):
+        raise HypothesisViolationError("witness needs h in the kernel")
+    if not inst.perturbation.terms:
+        return np.zeros_like(hs)
+    u = inst.perturbation.u_matrix(n)
+    shifted = _backshift_columns(hs)
+    if isinstance(inst.symbol, ZeroSymbol):
+        return -(u @ (u.conj().T @ shifted))
+    weights = u.conj().T @ hs
+    ws = inst.shifted_images @ weights
+    if not isinstance(inst.symbol, ConjInnerSymbol) or not inst.lambda_set:
+        return ws
+    # Remove theta times the analytic part of the negative-frame component.
+    theta_q, q_on_v = inst.negative_maps
+    return ws - theta_q @ (theta_q.conj().T @ shifted + q_on_v @ weights)
+
+
 def defect_witness(
     inst: Instance,
     h: AnalyticSeries,
     kernel_tol: float = WITNESS_KERNEL_TOL,
 ) -> AnalyticSeries:
-    """The proof's corrector w with S*h + w back in the kernel.
-
-    Requires h in the kernel with h(0) = 0 (validated); the conjugate-inner
-    case builds the negative-frequency decomposition explicitly.
-    """
-    _require_defect_case(inst.symbol)
-    n = h.truncation
-    if abs(h.coeffs[0]) > kernel_tol * max(1.0, h.norm()):
-        raise HypothesisViolationError("witness needs h(0) = 0")
-    image = apply(inst.operator, h)
-    if image.norm() > kernel_tol * max(1.0, h.norm()):
-        raise HypothesisViolationError("witness needs h in the kernel")
-    terms = inst.perturbation.terms
-    if not terms:
-        return AnalyticSeries.zero(n)
-    if isinstance(inst.symbol, ZeroSymbol):
-        sh = backshift(h)
-        acc = AnalyticSeries.zero(n)
-        for u, _ in terms:
-            acc = acc + inner_product(sh, u) * u
-        return -acc
-    weights = [inner_product(h, u) for u, _ in terms]
-    acc = AnalyticSeries.zero(n)
-    for wgt, vec in zip(weights, inst.shifted_images):
-        acc = acc + wgt * vec
-    if not isinstance(inst.symbol, ConjInnerSymbol) or not inst.lambda_set:
-        return acc
-    # Remove theta times the analytic part of the component of
-    # psi = conj(theta) S*h + sum w_i S*v_i along the negative frame.
-    psi = multiply(conj_on_circle(inst.theta), embed(backshift(h)))
-    for wgt, (_, v) in zip(weights, terms):
-        psi = psi + wgt * embed(backshift(v))
-    q = inst.negative_frame
-    psi1 = LaurentSeries(q @ (q.conj().T @ psi.coeffs), n)
-    return acc - riesz_project(multiply(embed(inst.theta), psi1))
+    """The witness of one h: defect_witnesses on a one-column frame."""
+    return AnalyticSeries(
+        defect_witnesses(inst, h.coeffs[:, None], kernel_tol)[:, 0], h.truncation
+    )
 
 
 @dataclass(frozen=True)
@@ -339,11 +368,9 @@ def check_defect_theorem(
     f_space = inst.defect_space
     # S*M sits inside M + F; residual directions are orthogonal to M already,
     # so containment is tested against the joint span, not F alone.
-    joint = span(list(m.frame.T) + list(f_space.frame.T), n, rank_tol=inst.rank_tol)
-    worst_outside = 0.0
-    for j in range(base.residual_frame.dim):
-        _, resid = contains(joint, base.residual_frame.frame[:, j], containment_tol)
-        worst_outside = max(worst_outside, resid)
+    joint = span(np.hstack((m.frame, f_space.frame)).T, n, rank_tol=inst.rank_tol)
+    outside = relative_residuals(joint, base.residual_frame.frame)
+    worst_outside = float(outside.max(initial=0.0))
     report = DefectReport(
         defect_dim=base.defect_dim,
         residual_frame=base.residual_frame,
@@ -352,20 +379,17 @@ def check_defect_theorem(
         contained_in_theorem_space=worst_outside < containment_tol,
         max_residual_outside_theorem_space=worst_outside,
     )
-    entries = []
-    vanishing = inst.vanishing
-    for j in range(vanishing.dim):
-        h = AnalyticSeries(vanishing.frame[:, j].copy(), n)
-        w = defect_witness(inst, h, kernel_tol=witness_tol)
-        candidate = backshift(h) + w
-        scale = max(1.0, candidate.norm())
-        membership = apply(inst.operator, candidate).norm() / scale
-        if w.norm() == 0.0:
-            w_resid = 0.0
-        else:
-            _, w_resid = contains(f_space, w, witness_tol)
-        entries.append(WitnessEntry(w, float(membership), float(w_resid)))
-    return report, WitnessReport(tuple(entries))
+    hs = inst.vanishing.frame
+    ws = defect_witnesses(inst, hs, kernel_tol=witness_tol)
+    candidates = _backshift_columns(hs) + ws
+    scale = np.maximum(1.0, np.linalg.norm(candidates, axis=0))
+    membership = np.linalg.norm(inst.operator.entries @ candidates, axis=0) / scale
+    w_resid = relative_residuals(f_space, ws)
+    entries = tuple(
+        WitnessEntry(AnalyticSeries(ws[:, j], n), float(membership[j]), float(w_resid[j]))
+        for j in range(ws.shape[1])
+    )
+    return report, WitnessReport(entries)
 
 
 def verify_defect_theorem(

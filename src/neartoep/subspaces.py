@@ -181,6 +181,15 @@ def contains(m: Subspace, f, tol: float = 1e-8) -> tuple[bool, float]:
     return rel < tol, rel
 
 
+def relative_residuals(m: Subspace, cols: np.ndarray) -> np.ndarray:
+    """contains' relative residual for every column of cols; zero columns give 0."""
+    if cols.ndim != 2 or cols.shape[0] != m.truncation:
+        raise InputError("column truncation disagrees with subspace")
+    norms = np.linalg.norm(cols, axis=0)
+    resid = np.linalg.norm(cols - m.frame @ (m.frame.conj().T @ cols), axis=0)
+    return np.divide(resid, norms, out=np.zeros_like(resid), where=norms > 0)
+
+
 def project(m: Subspace, f: AnalyticSeries) -> AnalyticSeries:
     if f.truncation != m.truncation:
         raise InputError("vector truncation disagrees with subspace")

@@ -9,7 +9,7 @@ from conftest import (
     random_blaschke,
     seeded_perturbation,
 )
-from neartoep import defects, series, subspaces
+from neartoep import defects, operators, series, subspaces
 from neartoep.blaschke import BlaschkeProduct, blaschke_expand
 from neartoep.defects import (
     Instance,
@@ -17,6 +17,7 @@ from neartoep.defects import (
     WitnessReport,
     check_defect_theorem,
     defect_witness,
+    defect_witnesses,
     lambda_set,
     model_space,
     theorem_defect_bound,
@@ -31,12 +32,21 @@ from neartoep.operators import (
     PerturbationSpec,
     TrigPolySymbol,
     ZeroSymbol,
+    apply,
+    symbol_fourier,
+    toeplitz_matrix,
 )
 from neartoep.series import (
     AnalyticSeries,
     LaurentSeries,
     backshift,
+    conj_on_circle,
+    embed,
+    inner_product,
+    multiply,
     multiply_analytic,
+    riesz_project,
+    shift,
 )
 from neartoep.subspaces import contains, kernel_subspace, principal_angles, span
 
@@ -135,6 +145,21 @@ def test_witness_validates_its_hypotheses():
         defect_witness(Instance(InnerSymbol(BlaschkeProduct(z_power=1)), pert, N), outside)
 
 
+def test_batched_witnesses_reject_a_frame_with_one_bad_column():
+    pert = seeded_perturbation(np.random.default_rng(101), N, rank=2, max_degree=6)
+    inst = Instance(ZeroSymbol(), pert, N)
+    first, last = inst.vanishing.frame[:, 0], inst.vanishing.frame[:, 1]
+    kernel = inst.kernel.frame
+    at_zero = kernel[:, np.argmax(np.abs(kernel[0]))]  # in the kernel, h(0) != 0
+    assert abs(at_zero[0]) > 1e-3
+    with pytest.raises(HypothesisViolationError, match=r"h\(0\) = 0"):
+        defect_witnesses(inst, np.column_stack([first, at_zero, last]))
+    outside = AnalyticSeries.monomial(1, N).coeffs  # vanishes at 0, R z = sum v_i conj(u_i[1])
+    assert np.linalg.norm(inst.operator.entries @ outside) > 1e-3
+    with pytest.raises(HypothesisViolationError, match="kernel"):
+        defect_witnesses(inst, np.column_stack([first, outside, last]))
+
+
 def test_unsupported_symbol_rejected():
     u = unit([1.0])
     v = AnalyticSeries.from_coeffs([0, 1.0], N)
@@ -213,6 +238,126 @@ def test_zero_symbol_check_restricts_the_kernel_to_h0_zero_once(monkeypatch):
     report, witness = verify_defect_theorem(ZeroSymbol(), pert, N)
     assert report.passed and witness.entries
     assert len(calls) == 1
+
+
+def test_zero_symbol_check_builds_its_witnesses_without_per_h_calls(monkeypatch):
+    pert = seeded_perturbation(np.random.default_rng(202), N, rank=2, max_degree=6)
+    applied = count_calls(monkeypatch, operators, "apply")
+    paired = count_calls(monkeypatch, series, "inner_product")
+    single = count_calls(monkeypatch, defects, "defect_witness")
+    report, witness = verify_defect_theorem(ZeroSymbol(), pert, N)
+    assert report.passed and witness.entries
+    assert (len(applied), len(paired), len(single)) == (0, 0, 0)
+
+
+def _reference_witness(inst, h):
+    """The per-h construction that defect_witnesses batches."""
+    n = h.truncation
+    terms = inst.perturbation.terms
+    if not terms:
+        return AnalyticSeries.zero(n)
+    if isinstance(inst.symbol, ZeroSymbol):
+        sh = backshift(h)
+        acc = AnalyticSeries.zero(n)
+        for u, _ in terms:
+            acc = acc + inner_product(sh, u) * u
+        return -acc
+    weights = [inner_product(h, u) for u, _ in terms]
+    acc = AnalyticSeries.zero(n)
+    for wgt, image in zip(weights, inst.shifted_images.T):
+        acc = acc + wgt * AnalyticSeries(image, n)
+    if not isinstance(inst.symbol, ConjInnerSymbol) or not inst.lambda_set:
+        return acc
+    psi = multiply(conj_on_circle(inst.theta), embed(backshift(h)))
+    for wgt, (_, v) in zip(weights, terms):
+        psi = psi + wgt * embed(backshift(v))
+    q = inst.negative_frame
+    psi1 = LaurentSeries(q @ (q.conj().T @ psi.coeffs), n)
+    return acc - riesz_project(multiply(embed(inst.theta), psi1))
+
+
+def _reference_check(inst):
+    """Worst containment residual and per-h (witness, membership, w-in-F)
+    triples, computed one column at a time."""
+    n, f_space = inst.truncation, inst.defect_space
+    joint = span(list(inst.kernel.frame.T) + list(f_space.frame.T), n, inst.rank_tol)
+    worst = 0.0
+    for col in inst.defect.residual_frame.frame.T:
+        worst = max(worst, contains(joint, col, CONTAINMENT_TOL)[1])
+    entries = []
+    for col in inst.vanishing.frame.T:
+        h = AnalyticSeries(col.copy(), n)
+        w = _reference_witness(inst, h)
+        candidate = backshift(h) + w
+        membership = apply(inst.operator, candidate).norm() / max(1.0, candidate.norm())
+        w_resid = 0.0 if w.norm() == 0.0 else contains(f_space, w, WITNESS_TOL)[1]
+        entries.append((w.coeffs, membership, w_resid))
+    return worst, entries
+
+
+def _kernel_spanned_by(sym, us):
+    """Instance whose kernel is span(us): v_i = -T_g u_i, so R = T_g (1 - P_U).
+
+    The T_g u_i must come out pairwise orthogonal; a single u, or an inner
+    g (an isometry), ensures that.
+    """
+    base = toeplitz_matrix(symbol_fourier(sym, N)).entries
+    terms = tuple((u, AnalyticSeries(-(base @ u.coeffs), N)) for u in us)
+    return Instance(sym, PerturbationSpec(terms), N)
+
+
+def _equivalence_instance(case):
+    rng = np.random.default_rng(CASE_SEEDS.get(case, 606))
+    pert = seeded_perturbation(rng, N, rank=2, max_degree=6)
+    vanishing_us = [shift(u) for u, _ in pert.terms]
+    if case == "zero":
+        return Instance(ZeroSymbol(), pert, N)
+    if case == "inner":
+        theta = BlaschkeProduct.from_points([0.3, -0.2j], z_power=1)
+        return _kernel_spanned_by(InnerSymbol(theta), vanishing_us)
+    if case == "invertible":
+        sym = InvertibleProductSymbol(
+            disk_invertible_poly(rng, N), disk_invertible_poly(rng, N)
+        )
+        return _kernel_spanned_by(sym, vanishing_us[:1])
+    if case == "conj_inner":
+        theta = BlaschkeProduct.from_points([0.3, -0.4j], z_power=1)
+        return Instance(ConjInnerSymbol(theta), pert, N)
+    theta = BlaschkeProduct(z_power=2)  # conj_inner with every u_i divisible by theta
+    u = multiply_analytic(blaschke_expand(theta, N), unit([1.0, 0.3]))
+    pert = PerturbationSpec(((u * (1.0 / u.norm()), AnalyticSeries.monomial(1, N)),))
+    return Instance(ConjInnerSymbol(theta), pert, N)
+
+
+@pytest.mark.parametrize(
+    "case", ["zero", "inner", "invertible", "conj_inner", "conj_inner_divisible"]
+)
+def test_batched_witnesses_match_the_per_h_construction(case):
+    inst = _equivalence_instance(case)
+    if case.startswith("conj_inner"):
+        assert bool(inst.lambda_set) == (case == "conj_inner")
+    report, witness = check_defect_theorem(inst, CONTAINMENT_TOL, WITNESS_TOL)
+    worst, expected = _reference_check(inst)
+    assert report.passed and witness.passed(WITNESS_TOL)
+    assert len(witness.entries) == len(expected) > 0
+    assert abs(report.max_residual_outside_theorem_space - worst) <= 1e-14
+    for entry, (w, membership, w_resid) in zip(witness.entries, expected):
+        assert np.linalg.norm(entry.witness.coeffs - w) <= 1e-12 * np.linalg.norm(w)
+        assert abs(entry.membership_residual - membership) <= 1e-14
+        assert abs(entry.w_in_space_residual - w_resid) <= 1e-14
+    h = AnalyticSeries(inst.vanishing.frame[:, 0].copy(), N)
+    single = defect_witness(inst, h, WITNESS_TOL).coeffs
+    assert np.linalg.norm(single - expected[0][0]) <= 1e-12 * np.linalg.norm(expected[0][0])
+
+
+def test_trivial_kernel_gives_an_empty_witness_report():
+    rng = np.random.default_rng(CASE_SEEDS["inner"])
+    pert = seeded_perturbation(rng, N, rank=2, max_degree=6)
+    inst = Instance(InnerSymbol(random_blaschke(rng)), pert, N)
+    report, witness = check_defect_theorem(inst, CONTAINMENT_TOL, WITNESS_TOL)
+    assert inst.kernel.dim == 0 and report.passed
+    assert witness.entries == ()
+    assert defect_witnesses(inst, inst.vanishing.frame).shape == (N, 0)
 
 
 def test_witness_pass_rule_is_strict():
