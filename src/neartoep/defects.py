@@ -134,7 +134,7 @@ class Instance:
 
     @cached_property
     def defect(self) -> DefectReport:
-        """Minimal near-invariance defect of the kernel."""
+        """Minimal near-invariance defect of the kernel, from its window complement."""
         return minimal_defect(self.kernel, self.vanishing)
 
     @cached_property

@@ -58,6 +58,10 @@ class Subspace:
     rank_tol: float = DEFAULT_RANK_TOL
     degenerate: bool = False
     svals: tuple[float, ...] = field(default=(), compare=False)
+    # Orthonormal frame of the window's range side for a kernel cut from
+    # coefficients [0, cap): cap x (cap - dim), so frame and complement
+    # together span the window.  None for subspaces built any other way.
+    complement: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(self.frame, dtype=np.complex128)
@@ -70,6 +74,12 @@ class Subspace:
         arr.setflags(write=False)
         object.__setattr__(self, "frame", arr)
         object.__setattr__(self, "svals", tuple(float(s) for s in self.svals))
+        if self.complement is not None:
+            comp = np.asarray(self.complement, dtype=np.complex128)
+            if comp.ndim != 2 or comp.shape[0] > self.truncation:
+                raise InputError(f"complement shape {comp.shape} disagrees with truncation")
+            comp.setflags(write=False)
+            object.__setattr__(self, "complement", comp)
 
     @property
     def dim(self) -> int:
@@ -78,9 +88,6 @@ class Subspace:
     @classmethod
     def zero(cls, truncation: int, rank_tol: float = DEFAULT_RANK_TOL) -> "Subspace":
         return cls(np.zeros((truncation, 0), dtype=np.complex128), truncation, rank_tol)
-
-    def basis_series(self) -> list[AnalyticSeries]:
-        return [AnalyticSeries(self.frame[:, j].copy(), self.truncation) for j in range(self.dim)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -137,7 +144,8 @@ def kernel_subspace(
     column_cap restricts the domain to coefficients below that degree
     (the headroom interior); the returned frame lives in the full space.
     An identically zero operator yields the whole (capped) space with the
-    degenerate flag set.
+    degenerate flag set.  The range-side right singular vectors of the same
+    SVD are kept as the subspace's complement inside the window.
     """
     n = op.truncation
     cap = n if column_cap is None else int(column_cap)
@@ -148,12 +156,18 @@ def kernel_subspace(
     if s.size == 0 or s[0] <= ZERO_OPERATOR_FLOOR:
         frame = np.zeros((n, cap), dtype=np.complex128)
         frame[:cap, :cap] = np.eye(cap)
-        return Subspace(frame, n, rank_tol, degenerate=True, svals=tuple(s))
-    null_rows = [i for i in range(cap) if i >= s.size or s[i] < rank_tol * s[0]]
-    small = vh.conj()[null_rows[::-1], :].T if null_rows else np.zeros((cap, 0))
-    frame = np.zeros((n, small.shape[1]), dtype=np.complex128)
-    frame[:cap, :] = small
-    return Subspace(_fix_phases(frame), n, rank_tol, svals=tuple(s))
+        return Subspace(
+            frame, n, rank_tol, degenerate=True, svals=tuple(s),
+            complement=np.zeros((cap, 0), dtype=np.complex128),
+        )
+    # s is sorted descending, so the null rows of vh are a suffix.
+    rank = int(np.count_nonzero(s >= rank_tol * s[0]))
+    frame = np.zeros((n, cap - rank), dtype=np.complex128)
+    frame[:cap, :] = vh[rank:][::-1].conj().T
+    return Subspace(
+        _fix_phases(frame), n, rank_tol, svals=tuple(s),
+        complement=vh[:rank].conj().T,
+    )
 
 
 def vanish_at_zero(m: Subspace) -> Subspace:
@@ -292,22 +306,30 @@ class DefectReport:
 def minimal_defect(m: Subspace, w: Subspace) -> DefectReport:
     """Rank of the part of S*w sticking out of m, for w = vanish_at_zero(m).
 
-    The singular-value threshold is absolute-normalized (frames are
-    orthonormal, so backshifted columns have norm at most one); an empty
-    or fully invariant input reports defect 0.
+    m must be a kernel_subspace result: inside its column window
+    [0, cap) the complement frame C spans the orthogonal complement of m,
+    and S*w stays in the window, so the part outside m is C (C^H S*w).
+    Its singular values and left singular vectors come from the small
+    (cap - dim m) x dim w matrix C^H S*w, which gives
+    min(cap - dim m, dim w) singular values.  The threshold is
+    absolute-normalized (frames are orthonormal, so backshifted columns
+    have norm at most one); an empty or fully invariant input reports
+    defect 0.
     """
+    comp = m.complement
+    if comp is None:
+        raise InputError("minimal_defect needs a kernel subspace with its window complement")
     tol = m.rank_tol
-    if w.dim == 0:
-        return DefectReport(0, Subspace.zero(m.truncation, tol), ())
-    shifted = np.zeros_like(w.frame)
-    shifted[:-1, :] = w.frame[1:, :]
-    outside = shifted - m.frame @ (m.frame.conj().T @ shifted)
-    u, s, _ = np.linalg.svd(outside, full_matrices=False)
+    cap = comp.shape[0]
+    # On the window S*w is w's rows 1..cap-1 followed by a zero row: w
+    # vanishes from row cap on, and at cap = N the shift drops the top row.
+    u, s, _ = np.linalg.svd(comp[:-1].conj().T @ w.frame[1:cap], full_matrices=False)
     threshold = tol * max(1.0, float(s[0]) if s.size else 0.0)
     keep = s > threshold
-    frame = _fix_phases(u[:, keep])
+    frame = np.zeros((m.truncation, int(keep.sum())), dtype=np.complex128)
+    frame[:cap] = comp @ u[:, keep]
     return DefectReport(
-        int(keep.sum()),
-        Subspace(frame, m.truncation, tol),
+        frame.shape[1],
+        Subspace(_fix_phases(frame), m.truncation, tol),
         tuple(float(x) for x in s),
     )

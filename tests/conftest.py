@@ -4,15 +4,26 @@ Random draws always honor the perturbation invariants (orthonormal u_i,
 pairwise orthogonal nonzero v_i) so that construction never raises.
 """
 
+import importlib.util
+import os
 import sys
+from pathlib import Path
 
-import numpy as np
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-from neartoep.blaschke import BlaschkeProduct
-from neartoep.operators import PerturbationSpec
-from neartoep.series import AnalyticSeries
+# BLAS threads are pinned before anything imports numpy, as in the benchmark
+# (perfbench/run.py), so tier-1 runs the small SVDs the way it does.
+for _var in BLAS_THREAD_VARS:
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+from neartoep.blaschke import BlaschkeProduct  # noqa: E402
+from neartoep.operators import PerturbationSpec  # noqa: E402
+from neartoep.series import AnalyticSeries  # noqa: E402
 
 NORM_FLOOR = 1e-3
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def random_series(rng, truncation, max_degree, min_degree=0):
@@ -130,3 +141,15 @@ def linalg_calls(monkeypatch, name):
 
     monkeypatch.setattr(np.linalg, name, recorded)
     return calls
+
+
+def load_perfbench_workloads(monkeypatch):
+    """perfbench/workloads.py loaded by path, read-only, for the benchmark gates."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look the defining module up by name while the file runs.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module

@@ -10,27 +10,13 @@ is left to the benchmark.  The test reads perfbench/ and writes nothing
 there.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load_workloads(monkeypatch):
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look the defining module up by name while the file runs.
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
+from conftest import PERFBENCH, load_perfbench_workloads
 
 
 def test_defect_suite_passes_the_benchmark_gate(monkeypatch, tmp_path):
-    workloads = _load_workloads(monkeypatch)
+    workloads = load_perfbench_workloads(monkeypatch)
     workload = workloads.DefectSuiteWorkload(0, tmp_path)
     result = workload.run_pass()
     reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))

@@ -350,6 +350,34 @@ def test_batched_witnesses_match_the_per_h_construction(case):
     assert np.linalg.norm(single - expected[0][0]) <= 1e-12 * np.linalg.norm(expected[0][0])
 
 
+def _projection_defect(m, w, tol):
+    """Reference defect from the full-space projection: project S*w off m in
+    all N rows and SVD the N-row residual (frame, singular values)."""
+    shifted = np.zeros_like(w.frame)
+    shifted[:-1] = w.frame[1:]
+    outside = shifted - m.frame @ (m.frame.conj().T @ shifted)
+    u, s, _ = np.linalg.svd(outside, full_matrices=False)
+    keep = s > tol * max(1.0, float(s[0]) if s.size else 0.0)
+    return u[:, keep], s
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["N", "2N"])
+@pytest.mark.parametrize("case", ["zero", "conj_inner"])
+def test_complement_defect_matches_the_projection_formula(case, doubled):
+    inst = _equivalence_instance(case)
+    if doubled:
+        inst = inst.doubled
+    frame, svals = _projection_defect(inst.kernel, inst.vanishing, inst.rank_tol)
+    report = inst.defect
+    assert report.defect_dim == frame.shape[1] > 0
+    common = len(report.singular_values)
+    assert 0 < common <= svals.size
+    gap = np.abs(np.array(report.singular_values) - svals[:common])
+    assert float(gap.max()) <= 1e-14
+    reference = subspaces.Subspace(frame, inst.truncation)
+    assert float(principal_angles(report.residual_frame, reference).max()) < ANGLE_TOL
+
+
 def test_trivial_kernel_gives_an_empty_witness_report():
     rng = np.random.default_rng(CASE_SEEDS["inner"])
     pert = seeded_perturbation(rng, N, rank=2, max_degree=6)

@@ -10,7 +10,7 @@ from conftest import linalg_calls, seeded_perturbation
 from neartoep.blaschke import BlaschkeProduct
 from neartoep.defects import Instance, model_space
 from neartoep.errors import ConditioningError, InputError
-from neartoep.operators import ConjInnerSymbol, OperatorMatrix
+from neartoep.operators import ConjInnerSymbol, OperatorMatrix, ZeroSymbol
 from neartoep.series import AnalyticSeries
 from neartoep.subspaces import (
     Subspace,
@@ -165,6 +165,7 @@ def test_kernel_subspace_zero_operator_is_degenerate():
     op = OperatorMatrix(np.zeros((6, 6), dtype=np.complex128), 6)
     m = kernel_subspace(op, 1e-9, column_cap=3)
     assert m.degenerate and m.dim == 3
+    assert m.complement.shape == (3, 0)
     # frame still lives in the full space
     assert m.frame.shape == (6, 3)
 
@@ -252,24 +253,68 @@ def test_complement_and_direct_sum_identities():
         complement_within(ambient, outside)
 
 
+def _diagonal_kernel(n, kernel_degrees, column_cap=None):
+    """kernel_subspace of the diagonal operator that kills z^j for j in kernel_degrees."""
+    diag = np.ones(n, dtype=np.complex128)
+    diag[list(kernel_degrees)] = 0.0
+    return kernel_subspace(OperatorMatrix(np.diag(diag), n), 1e-9, column_cap)
+
+
 def test_minimal_defect_on_shift_invariant_space():
     n = 16
-    # span{1, z, z^2} is backward-shift invariant: defect 0
-    k3 = span([AnalyticSeries.monomial(j, n) for j in range(3)], n)
-    assert minimal_defect(k3, vanish_at_zero(k3)).defect_dim == 0
-    # span{1, z^2}: backshift of z^2 is z, outside: defect 1
-    gap = span([AnalyticSeries.monomial(0, n), AnalyticSeries.monomial(2, n)], n)
-    report = minimal_defect(gap, vanish_at_zero(gap))
-    assert report.defect_dim == 1
-    assert report.residual_frame.dim == 1
-    assert abs(report.residual_frame.frame[1, 0]) == pytest.approx(1.0)
-    payload = report.to_json_dict()
-    assert payload["defect_dim"] == 1 and payload["residual_dim"] == 1
+    for cap in (None, n // 2):
+        # span{1, z, z^2} is backward-shift invariant: defect 0
+        k3 = _diagonal_kernel(n, range(3), cap)
+        assert minimal_defect(k3, vanish_at_zero(k3)).defect_dim == 0
+        # span{1, z^2}: backshift of z^2 is z, outside: defect 1
+        gap = _diagonal_kernel(n, (0, 2), cap)
+        report = minimal_defect(gap, vanish_at_zero(gap))
+        assert report.defect_dim == 1
+        assert report.residual_frame.dim == 1
+        assert abs(report.residual_frame.frame[1, 0]) == pytest.approx(1.0)
+        payload = report.to_json_dict()
+        assert payload["defect_dim"] == 1 and payload["residual_dim"] == 1
 
 
 def test_minimal_defect_empty_and_constant_spaces():
     n = 8
-    empty = Subspace.zero(n)
+    empty = _diagonal_kernel(n, ())
+    assert empty.dim == 0
     assert minimal_defect(empty, vanish_at_zero(empty)).defect_dim == 0
-    constants = span([AnalyticSeries.from_coeffs([1.0], n)], n)
+    constants = _diagonal_kernel(n, (0,))
     assert minimal_defect(constants, vanish_at_zero(constants)).defect_dim == 0
+
+
+def test_minimal_defect_rejects_a_subspace_without_a_window_complement():
+    n = 16
+    gap = span([AnalyticSeries.monomial(0, n), AnalyticSeries.monomial(2, n)], n)
+    assert gap.complement is None
+    with pytest.raises(InputError):
+        minimal_defect(gap, vanish_at_zero(gap))
+
+
+def _zero_symbol_instance(n=64):
+    return Instance(ZeroSymbol(), seeded_perturbation(np.random.default_rng(202), n, 2, 6), n)
+
+
+def test_kernel_complement_completes_the_column_window():
+    theta = BlaschkeProduct.from_points([0.3, -0.2])
+    conj_inner = Instance(
+        ConjInnerSymbol(theta), seeded_perturbation(np.random.default_rng(5), 64, 2, 4), 64
+    )
+    for inst in (_zero_symbol_instance(), conj_inner):
+        m, cap = inst.kernel, inst.column_cap
+        comp = m.complement
+        assert m.dim > 0 and comp.shape == (cap, cap - m.dim)
+        assert not comp.flags.writeable
+        assert np.max(np.abs(comp.conj().T @ comp - np.eye(cap - m.dim))) < 1e-12
+        assert np.max(np.abs(comp.conj().T @ m.frame[:cap])) < 1e-12
+
+
+def test_defect_svd_sees_only_the_complement_coordinates(monkeypatch):
+    inst = _zero_symbol_instance()
+    m, w = inst.kernel, inst.vanishing
+    calls = linalg_calls(monkeypatch, "svd")
+    assert inst.defect.defect_dim == 2
+    # one (cap - dim M) x dim W matrix, here 2 x 29, never an N-row block
+    assert [args[0].shape for args, _ in calls] == [(inst.column_cap - m.dim, w.dim)]
