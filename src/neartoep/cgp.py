@@ -587,11 +587,7 @@ def _nullspace(matrix: np.ndarray, rank_tol: float) -> np.ndarray:
     cols = matrix.shape[1]
     if matrix.shape[0] == 0:
         return np.eye(cols, dtype=np.complex128)
-    if matrix.shape[0] >= cols:
-        svals, vh = _right_svd(matrix)
-    else:
-        # The trailing rows of the full V span the rest of the null space.
-        _, svals, vh = np.linalg.svd(matrix, full_matrices=True)
+    svals, vh = _right_svd(matrix)
     if svals.size == 0 or svals[0] == 0.0:
         return np.eye(cols, dtype=np.complex128)
     rank = int(np.sum(svals > rank_tol * svals[0]))

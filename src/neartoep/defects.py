@@ -71,9 +71,33 @@ def _require_defect_case(sym: Symbol) -> None:
 def model_space(
     theta: BlaschkeProduct, truncation: int, rank_tol: float = 1e-9
 ) -> Subspace:
-    """Kernel of the conjugate-inner Toeplitz matrix (truncated model space)."""
-    sym = conj_on_circle(blaschke_expand(theta, truncation))
-    return kernel_subspace(toeplitz_matrix(sym), rank_tol)
+    """Truncated model space K_theta = H^2 (-) theta H^2 from its Takenaka-Malmquist basis.
+
+    Writing theta as z^m times elementary factors b_a = (a - z)/(1 - conj(a) z),
+    K_theta is the orthogonal sum of prefix * K_b over the factors b taken in
+    turn, where prefix is the product of the factors before b: K_z is the
+    constants and K_{b_a} is spanned by k_a = sum conj(a)^n z^n
+    (Garcia-Mashreghi-Ross, Introduction to Model Spaces and their
+    Operators, 2016, ch. 5).  The deg theta basis vectors are cut to the
+    truncation and orthonormalized, with no Toeplitz matrix and no N x N
+    SVD, so the dimension is deg theta at every truncation.  A kernel cut
+    from the truncated T_conj(theta) loses directions where max |a|^N is
+    far from round-off.
+    """
+    n = truncation
+    prefix = np.zeros(n, dtype=np.complex128)
+    prefix[0] = 1.0
+    basis = []
+    for _ in range(theta.z_power):
+        basis.append(prefix)
+        prefix = np.convolve(prefix, [0.0, 1.0])[:n]
+    for point, multiplicity in theta.zeros:
+        kernel_dir = np.conj(point) ** np.arange(n)
+        for _ in range(multiplicity):
+            basis.append(np.convolve(prefix, kernel_dir)[:n])
+            # prefix * b_a = (prefix * k_a) * (a - z)
+            prefix = np.convolve(basis[-1], [point, -1.0])[:n]
+    return span(basis, n, rank_tol)
 
 
 def conj_toeplitz_apply(f: AnalyticSeries, h: AnalyticSeries) -> AnalyticSeries:

@@ -35,18 +35,25 @@ def _fix_phases(frame: np.ndarray) -> np.ndarray:
 
 
 def _right_svd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and thin right singular vectors (vh) of mat.
+    """Singular values (one per column) and cols x cols right singular vectors of mat.
 
-    A block with at least twice as many rows as columns is reduced to its
-    R factor first (Chan, ACM TOMS 8(1), 1982), and no Q is formed.  LAPACK's
-    complex gesdd takes the same QR path itself from about 17/9 rows per
-    column, so on such blocks s and vh come out bit-identical.
+    Rows that are exactly zero are dropped first (no tolerance, so no new
+    rank decision): they add nothing to mat^H mat, so the singular values
+    and right singular subspaces are unchanged, and the values they remove
+    are exact zeros, which pad s back to one value per column.  A block
+    that keeps at least twice as many rows as columns is reduced to its R
+    factor first (Chan, ACM TOMS 8(1), 1982), and no Q is formed.  A block
+    with fewer rows than columns takes the full vh, whose trailing rows
+    span the rest of the null space.
     """
+    keep = mat.any(axis=1)
+    if not keep.all():
+        mat = mat[keep]
     rows, cols = mat.shape
     if rows >= 2 * cols:
         mat = scipy.linalg.qr(mat, mode="r")[0][:cols]
-    _, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return s, vh
+    _, s, vh = np.linalg.svd(mat, full_matrices=rows < cols)
+    return np.pad(s, (0, cols - s.size)), vh
 
 
 @dataclass(frozen=True)
@@ -151,9 +158,8 @@ def kernel_subspace(
     cap = n if column_cap is None else int(column_cap)
     if not 0 < cap <= n:
         raise InputError(f"column cap {cap} outside 1..{n}")
-    # The block is n x cap with cap <= n, so the thin vh is already cap x cap.
     s, vh = _right_svd(op.entries[:, :cap])
-    if s.size == 0 or s[0] <= ZERO_OPERATOR_FLOOR:
+    if s[0] <= ZERO_OPERATOR_FLOOR:
         frame = np.zeros((n, cap), dtype=np.complex128)
         frame[:cap, :cap] = np.eye(cap)
         return Subspace(
@@ -171,15 +177,26 @@ def kernel_subspace(
 
 
 def vanish_at_zero(m: Subspace) -> Subspace:
-    """Subspace of members with vanishing constant coefficient."""
+    """Subspace of members with vanishing constant coefficient.
+
+    With x the conjugate of the frame's first row, the Householder
+    reflector H = I - 2 w w^H / |w|^2 that maps x onto the first axis
+    (Golub-Van Loan, Matrix Computations, sec. 5.1) has its other columns
+    orthonormal and orthogonal to x, so the frame times H[:, 1:] is an
+    orthonormal frame of the members vanishing at zero, built in O(N d).
+    """
     if m.dim == 0:
         return m
-    row = m.frame[0:1, :]
-    if np.linalg.norm(row) <= m.rank_tol:
+    x = m.frame[0].conj()
+    norm = np.linalg.norm(x)
+    if norm <= m.rank_tol:
         return m
-    coeffs = scipy.linalg.null_space(row, rcond=m.rank_tol)
-    frame = _fix_phases(m.frame @ coeffs)
-    return Subspace(frame, m.truncation, m.rank_tol)
+    w = x.copy()
+    # alpha = -sign(x0) |x|, so w0 = x0 - alpha does not cancel.
+    w[0] += norm * (x[0] / abs(x[0]) if x[0] != 0 else 1.0)
+    scale = 2.0 / np.vdot(w, w).real
+    frame = m.frame[:, 1:] - np.outer(m.frame @ w, scale * w[1:].conj())
+    return Subspace(_fix_phases(frame), m.truncation, m.rank_tol)
 
 
 def contains(m: Subspace, f, tol: float = 1e-8) -> tuple[bool, float]:

@@ -18,9 +18,10 @@ for _var in BLAS_THREAD_VARS:
 
 import numpy as np  # noqa: E402
 
-from neartoep.blaschke import BlaschkeProduct  # noqa: E402
-from neartoep.operators import PerturbationSpec  # noqa: E402
-from neartoep.series import AnalyticSeries  # noqa: E402
+from neartoep.blaschke import BlaschkeProduct, blaschke_expand  # noqa: E402
+from neartoep.operators import PerturbationSpec, toeplitz_matrix  # noqa: E402
+from neartoep.series import AnalyticSeries, conj_on_circle  # noqa: E402
+from neartoep.subspaces import kernel_subspace  # noqa: E402
 
 NORM_FLOOR = 1e-3
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -89,6 +90,17 @@ def random_blaschke(rng, max_degree=3, max_modulus=0.7, allow_z_power=True):
         angle = rng.uniform(0.0, 2.0 * np.pi)
         points.append(radius * np.exp(1j * angle))
     return BlaschkeProduct.from_points(points, z_power=z_power)
+
+
+def toeplitz_model_space(theta, truncation, rank_tol=1e-9):
+    """K_theta as the kernel of the truncated Toeplitz matrix T_conj(theta).
+
+    An independent reference for model_space, which builds K_theta from its
+    Takenaka-Malmquist basis instead: one N x N SVD, whose dimension is
+    deg theta only once max |a|^N over the zeros is near round-off.
+    """
+    sym = conj_on_circle(blaschke_expand(theta, truncation))
+    return kernel_subspace(toeplitz_matrix(sym), rank_tol)
 
 
 def disk_invertible_poly(rng, truncation, max_degree=3):

@@ -15,6 +15,7 @@ from conftest import (
     random_blaschke,
     random_series,
     seeded_perturbation,
+    toeplitz_model_space,
 )
 from neartoep.blaschke import BlaschkeProduct, blaschke_expand
 from neartoep.catalogue import run_catalogue
@@ -131,12 +132,21 @@ def test_criterion_1_model_space_kernels():
                 f"{product!r}: dim {computed.dim} != degree {product.degree()}"
             )
             continue
-        reference = span(
+        recursion = span(
             _reference_model_basis(product, MODEL_TRUNCATION), MODEL_TRUNCATION
         )
-        angle = float(principal_angles(computed, reference).max(initial=0.0))
-        if angle >= MODEL_ANGLE_TOL:
-            failures.append(f"{product!r}: angle {angle:.2e}")
+        # model_space runs the recursion too, so the Toeplitz kernel is the
+        # reference that does not share its algorithm.
+        toeplitz = toeplitz_model_space(product, MODEL_TRUNCATION)
+        if toeplitz.dim != product.degree():
+            failures.append(
+                f"{product!r}: Toeplitz-kernel dim {toeplitz.dim} != degree {product.degree()}"
+            )
+            continue
+        for name, reference in (("recursion", recursion), ("Toeplitz kernel", toeplitz)):
+            angle = float(principal_angles(computed, reference).max(initial=0.0))
+            if angle >= MODEL_ANGLE_TOL:
+                failures.append(f"{product!r}: angle {angle:.2e} to the {name}")
     elapsed = time.perf_counter() - started
     if elapsed >= MODEL_TIME_BUDGET:
         failures.append(f"runtime {elapsed:.2f}s over budget")

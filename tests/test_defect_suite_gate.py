@@ -1,23 +1,26 @@
 """The defect-suite benchmark's correctness gate, inside the tier-1 suite.
 
 perfbench/run.py rejects a defect-suite-128 run when an instance raises or
-does not pass, or when an integer skeleton (defect dim, bound, witness
-count) differs from perfbench/reference.json.  This test runs one pass of
-the benchmark's own workload code on seed 0 and applies both checks, so a
-library change that would fail them fails here first.  The benchmark's
-third check, equal output digests across passes, would double the cost and
-is left to the benchmark.  The test reads perfbench/ and writes nothing
-there.
+does not pass, when an integer skeleton (defect dim, bound, witness count)
+differs from perfbench/reference.json, or when the output digests of two
+passes differ.  This test runs the benchmark's own workload code on seeds
+0, 1 and 2 (the reference skeletons do not depend on the seed) and applies
+the first two checks; on seed 0 it runs a second pass and applies the
+third.  A library change that would fail the benchmark's gate fails here
+first.  The test reads perfbench/ and writes nothing there.
 """
 
 import json
 
+import pytest
+
 from conftest import PERFBENCH, load_perfbench_workloads
 
 
-def test_defect_suite_passes_the_benchmark_gate(monkeypatch, tmp_path):
+def _gated_pass(monkeypatch, tmp_path, seed):
+    """One benchmark pass on `seed`, checked as perfbench/run.py checks it."""
     workloads = load_perfbench_workloads(monkeypatch)
-    workload = workloads.DefectSuiteWorkload(0, tmp_path)
+    workload = workloads.DefectSuiteWorkload(seed, tmp_path)
     result = workload.run_pass()
     reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
     failing = [
@@ -26,3 +29,15 @@ def test_defect_suite_passes_the_benchmark_gate(monkeypatch, tmp_path):
     assert len(result.verdicts) == workloads.DEFECT_SUITE_SIZE
     assert not failing
     assert result.skeletons == reference["defect-suite-128"]
+    return workload, result
+
+
+def test_defect_suite_passes_the_benchmark_gate(monkeypatch, tmp_path):
+    workload, result = _gated_pass(monkeypatch, tmp_path, 0)
+    # nothing kept across calls may change the output bytes
+    assert workload.run_pass().digest == result.digest
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_defect_suite_passes_the_benchmark_gate_on_other_seeds(monkeypatch, tmp_path, seed):
+    _gated_pass(monkeypatch, tmp_path, seed)

@@ -8,6 +8,7 @@ from conftest import (
     disk_invertible_poly,
     random_blaschke,
     seeded_perturbation,
+    toeplitz_model_space,
 )
 from neartoep import defects, operators, series, subspaces
 from neartoep.blaschke import BlaschkeProduct, blaschke_expand
@@ -65,6 +66,22 @@ def test_model_space_dimension_equals_degree():
     assert model_space(BlaschkeProduct(z_power=3), N).dim == 3
     theta = BlaschkeProduct.from_points([0.4, -0.2 + 0.1j], z_power=1)
     assert model_space(theta, N).dim == 3
+
+
+@pytest.mark.parametrize(
+    "points, n",
+    [([0.5, -0.5j, 0.3], 32), ([0.7, -0.7j, 0.3], 32), ([0.9, -0.9j, 0.3], 128)],
+)
+def test_model_space_keeps_its_dimension_at_low_resolution(points, n):
+    # max |a|^N is far above round-off here, and a Toeplitz-kernel cut at
+    # this N finds only 2, 1 and 1 of the 3 directions.
+    theta = BlaschkeProduct.from_points(points)
+    k_theta = model_space(theta, n)
+    assert k_theta.dim == 3
+    resolved = toeplitz_model_space(theta, 512)
+    assert resolved.dim == 3
+    reference = span(resolved.frame[:n].T, n)
+    assert float(principal_angles(k_theta, reference).max()) < ANGLE_TOL
 
 
 def test_monomial_model_space_is_low_degree_polynomials():

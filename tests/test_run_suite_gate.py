@@ -2,10 +2,12 @@
 
 perfbench/run.py rejects a run-512 pass when a scenario fails or when an
 integer skeleton (kernel dim at N and 2N, defect dim, bound, witness count)
-differs from perfbench/reference.json.  This test runs two of its twelve
+differs from perfbench/reference.json.  This test runs four of its twelve
 scenarios through runner.run_scenario with the 2N stability audit: the
-zero symbol's cofinite kernel (254 witnesses) and a conjugate-inner
-finite kernel with defect 2.  It reads perfbench/ and writes nothing there.
+zero symbol's cofinite kernel (254 witnesses), an inner symbol (its
+windows have no zero rows), an invertible symbol (its 2N window has only
+515 nonzero rows) and a conjugate-inner finite kernel with defect 2.  It
+reads perfbench/ and writes nothing there.
 """
 
 import json
@@ -16,7 +18,12 @@ import pytest
 from conftest import BLAS_THREAD_VARS, PERFBENCH, load_perfbench_workloads
 from neartoep import runner
 
-SCENARIO_IDS = {0: "000-zero-r1-d3-z0", 3: "003-conj_inner-r1-d3-z0"}
+SCENARIO_IDS = {
+    0: "000-zero-r1-d3-z0",
+    1: "001-inner-r1-d3-z0",
+    2: "002-invertible-r1-d3-z0",
+    3: "003-conj_inner-r1-d3-z0",
+}
 
 
 @pytest.mark.parametrize("index", sorted(SCENARIO_IDS))

@@ -10,7 +10,7 @@ from conftest import linalg_calls, seeded_perturbation
 from neartoep.blaschke import BlaschkeProduct
 from neartoep.defects import Instance, model_space
 from neartoep.errors import ConditioningError, InputError
-from neartoep.operators import ConjInnerSymbol, OperatorMatrix, ZeroSymbol
+from neartoep.operators import ConjInnerSymbol, InnerSymbol, OperatorMatrix, ZeroSymbol
 from neartoep.series import AnalyticSeries
 from neartoep.subspaces import (
     Subspace,
@@ -150,15 +150,60 @@ def test_tall_kernel_windows_reach_lapack_as_their_r_factor(monkeypatch):
     n = 64
     theta = BlaschkeProduct.from_points([0.3, -0.2])
     pert = seeded_perturbation(np.random.default_rng(5), n, 2, 4)
-    inst = Instance(ConjInnerSymbol(theta), pert, n)
+    inst = Instance(InnerSymbol(theta), pert, n)
     calls = linalg_calls(monkeypatch, "svd")
-    assert inst.kernel.dim > 0
-    # the 64 x 32 window goes in as its 32 x 32 R factor
+    assert len(inst.kernel.svals) == n // 2
+    # the Blaschke tail fills every row, so the 64 x 32 window goes in as
+    # its 32 x 32 R factor
     assert [args[0].shape for args, _ in calls] == [(n // 2, n // 2)]
-    calls.clear()
-    model_space(theta, n)
-    # a square block keeps the plain SVD
-    assert [args[0].shape for args, _ in calls] == [(n, n)]
+
+
+def test_zero_rows_of_a_kernel_window_never_reach_lapack(monkeypatch):
+    n = 64
+    pert = seeded_perturbation(np.random.default_rng(5), n, 2, 4)
+    inst = Instance(ZeroSymbol(), pert, n)
+    calls = linalg_calls(monkeypatch, "svd")
+    m = inst.kernel
+    # R = sum v_i <., u_i> with deg v_i <= 4: only rows 0..4 are nonzero
+    assert [args[0].shape for args, _ in calls] == [(5, n // 2)]
+    assert m.dim == n // 2 - 2 and m.complement.shape == (n // 2, 2)
+    # one value per window column: the dropped rows' values are exact zeros
+    assert len(m.svals) == n // 2 and m.svals[5:] == (0.0,) * (n // 2 - 5)
+
+
+def test_model_space_svds_only_its_basis(monkeypatch):
+    theta = BlaschkeProduct.from_points([0.3, -0.2, 0.5j], z_power=2)
+    calls = linalg_calls(monkeypatch, "svd")
+    assert model_space(theta, 64).dim == theta.degree()
+    assert calls
+    assert all(args[0].shape[1] <= theta.degree() for args, _ in calls)
+
+
+def _null_space_vanishing(m):
+    """vanish_at_zero from scipy's null_space of the frame's first row."""
+    coeffs = scipy.linalg.null_space(m.frame[0:1, :], rcond=m.rank_tol)
+    return Subspace(m.frame @ coeffs, m.truncation, m.rank_tol)
+
+
+@pytest.mark.parametrize("seed", [5, 202, 303])
+@pytest.mark.parametrize("case", ["zero", "conj_inner"])
+def test_vanish_at_zero_reflector_matches_the_null_space_formula(monkeypatch, case, seed):
+    n = 64
+    if case == "zero":
+        sym = ZeroSymbol()
+    else:
+        sym = ConjInnerSymbol(BlaschkeProduct.from_points([0.3, -0.2], z_power=1))
+    m = Instance(sym, seeded_perturbation(np.random.default_rng(seed), n, 2, 4), n).kernel
+    reference = _null_space_vanishing(m)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("vanish_at_zero called scipy.linalg.null_space")
+
+    monkeypatch.setattr(scipy.linalg, "null_space", forbidden)
+    w = vanish_at_zero(m)
+    assert w.dim == reference.dim == m.dim - 1 > 0
+    assert abs(w.frame[0]).max() < 1e-12
+    assert float(principal_angles(w, reference).max()) < 1e-12
 
 
 def test_kernel_subspace_zero_operator_is_degenerate():
