@@ -50,14 +50,6 @@ class BlaschkeProduct:
     def degree(self) -> int:
         return self.z_power + sum(m for _, m in self.zeros)
 
-    def value_at_zero(self) -> complex:
-        if self.z_power > 0:
-            return 0.0 + 0.0j
-        out = self.unimodular_const
-        for point, mult in self.zeros:
-            out *= point**mult
-        return complex(out)
-
     def to_json_dict(self) -> dict:
         return {
             "zeros": [

@@ -18,10 +18,10 @@ from .cgp import (
     CgpFrame,
     RepresentationReport,
     build_monomial_split_frame,
+    check_corollary,
     monomial_split_expected_kernel,
     remark_projection_direct,
     remark_projection_formula,
-    verify_corollary,
 )
 from .defects import WITNESS_KERNEL_TOL, Instance, check_defect_theorem, model_space
 from .errors import InputError
@@ -125,9 +125,7 @@ def _defect_details(inst: Instance) -> tuple[bool, dict]:
 def _representation_details(
     inst: Instance, ni: int, frame: CgpFrame | None = None
 ) -> tuple[RepresentationReport, dict]:
-    rep = verify_corollary(
-        inst.symbol, inst.perturbation, inst.truncation, ni, frame=frame
-    )
+    rep = check_corollary(inst, ni, frame=frame)
     details = {
         "representation": rep.to_json_dict(),
         "stability": stability_summary(inst),

@@ -3,9 +3,11 @@
 Each supported symbol class admits a representation of the kernel as
 f = sum_j A_j k_j with the coefficient tuple (k_0, ..., k_m) ranging over
 the nullspace of a small family of linear clauses.  This module builds the
-slot maps A_j and the clause family for every branch, decomposes kernel
-vectors back into coefficient tuples, and verifies both directions against
-the computed kernel.
+slot maps A_j and the clause family for every branch and verifies both
+directions against the computed kernel: sampled clause-nullspace tuples
+must assemble into the kernel, and the reverse fit decomposes every kernel
+basis vector into a tuple that meets the clauses.  A tuple is always one
+stacked column, slot blocks one above the other.
 """
 
 from __future__ import annotations
@@ -120,17 +122,6 @@ class LinearClause:
             if m is not None:
                 return int(m.shape[0])
         return 0
-
-    def residual(self, k_vectors: Sequence[np.ndarray]) -> float:
-        acc = None
-        for mat, k in zip(self.mats, k_vectors):
-            if mat is None:
-                continue
-            term = mat @ k
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return 0.0
-        return float(np.max(np.abs(acc)))
 
 
 def ip_family_clause(
@@ -595,68 +586,6 @@ def _nullspace(matrix: np.ndarray, rank_tol: float) -> np.ndarray:
     return _fix_phases(basis)
 
 
-def _split_stacked(k_stacked: np.ndarray, slots: int, cap: int, truncation: int) -> list:
-    out = []
-    for j in range(slots):
-        full = np.zeros(truncation, dtype=np.complex128)
-        full[:cap] = k_stacked[j * cap : (j + 1) * cap]
-        out.append(full)
-    return out
-
-
-def _assemble(frame: CgpFrame, k_vectors: Sequence[np.ndarray]) -> np.ndarray:
-    acc = np.zeros(frame.truncation, dtype=np.complex128)
-    for mat, k in zip(frame.slot_maps, k_vectors):
-        acc = acc + mat @ k
-    return acc
-
-
-def _constraint_violation(frame: CgpFrame, k_vectors: Sequence[np.ndarray]) -> float:
-    scale = max(1.0, float(np.sqrt(sum(np.linalg.norm(k) ** 2 for k in k_vectors))))
-    worst = 0.0
-    for clause in frame.clauses:
-        worst = max(worst, clause.residual(k_vectors) / scale)
-    return worst
-
-
-def k_membership(
-    frame: CgpFrame, k_list: Sequence[AnalyticSeries]
-) -> tuple[bool, float]:
-    """Whether the coefficient tuple satisfies every clause of the frame."""
-    if len(k_list) != frame.slot_count:
-        raise InputError(
-            f"expected {frame.slot_count} coefficient slots, got {len(k_list)}"
-        )
-    vectors = [k.resized(frame.truncation).coeffs for k in k_list]
-    worst = _constraint_violation(frame, vectors)
-    return worst < CONSTRAINT_TOL, worst
-
-
-def cgp_decompose(
-    f: AnalyticSeries,
-    frame: CgpFrame,
-    inner_truncation: int = DEFAULT_INNER_TRUNCATION,
-) -> tuple[list, float]:
-    """Minimum-norm coefficient tuple with f = sum_j A_j k_j.
-
-    Coefficients are supported below inner_truncation; the support plus the
-    slot-map degree pad must fit inside the truncation order.
-    """
-    if frame.slot_count == 0:
-        raise InputError("frame has no slots to decompose against")
-    n = frame.truncation
-    if inner_truncation + frame.degree_pad > n:
-        raise HeadroomError(
-            f"coefficient support {inner_truncation} plus multiplier degree "
-            f"{frame.degree_pad} exceeds truncation {n}"
-        )
-    cap = inner_truncation
-    big = np.hstack([m[:, :cap] for m in frame.slot_maps])
-    solution, fit = _slot_fit(big, f.resized(n).coeffs[:, None])
-    k_vectors = _split_stacked(solution[:, 0], frame.slot_count, cap, n)
-    return [AnalyticSeries(k, n) for k in k_vectors], float(fit[0])
-
-
 def _slot_fit(big: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm solutions of big @ x = t for every column t of targets.
 
@@ -747,25 +676,24 @@ class RepresentationReport:
         }
 
 
-def verify_corollary(
-    sym: Symbol,
-    pert: PerturbationSpec,
-    truncation: int,
+def check_corollary(
+    inst: Instance,
     inner_truncation: int = DEFAULT_INNER_TRUNCATION,
-    rank_tol: float = DEFAULT_RANK_TOL,
     membership_tol: float = MEMBERSHIP_TOL,
     constraint_tol: float = CONSTRAINT_TOL,
     seed: int = 0,
     frame: CgpFrame | None = None,
 ) -> RepresentationReport:
-    """Bidirectional check of the kernel representation for one instance.
+    """Bidirectional check of the kernel representation on an instance.
 
     The kernel is the instance's, extracted on the interior window
     truncation // 2, which keeps band-cutoff artifacts out of the comparison.
     frame defaults to the instance's own representation frame; pass one to
-    check another representation of the same kernel.
+    check another representation of the same kernel.  Coefficient tuples
+    are stacked slot blocks throughout, one column per tuple.
     """
-    inst = Instance(sym, pert, truncation, rank_tol)
+    truncation = inst.truncation
+    rank_tol = inst.rank_tol
     m = inst.kernel
     if frame is None:
         frame = _instance_frame(inst, inner_truncation)
@@ -801,35 +729,33 @@ def verify_corollary(
             "column cap leaves no room for forward coefficient support"
         )
     cap_rev = min(truncation - frame.degree_pad, max(inner_truncation, inst.column_cap))
-    null_fwd = _nullspace(_stack_clauses(frame, cap_fwd), rank_tol)
+    clauses_fwd = _stack_clauses(frame, cap_fwd)
+    null_fwd = _nullspace(clauses_fwd, rank_tol)
     k_dim = null_fwd.shape[1]
-    samples = [null_fwd[:, j] for j in range(min(k_dim, SAMPLE_CAP))]
+    samples = null_fwd[:, :SAMPLE_CAP]
     if k_dim > 1:
         rng = np.random.default_rng(seed)
         mix = rng.standard_normal((k_dim, 4)) + 1j * rng.standard_normal((k_dim, 4))
         mixed = null_fwd @ mix
-        for j in range(mixed.shape[1]):
-            col = mixed[:, j]
-            samples.append(col / np.linalg.norm(col))
-    forward_max = 0.0
-    backshift_max = 0.0
-    zero_images = 0
-    image_vectors = []
-    for stacked in samples:
-        k_vectors = _split_stacked(stacked, frame.slot_count, cap_fwd, truncation)
-        f = _assemble(frame, k_vectors)
-        fnorm = np.linalg.norm(f)
-        if fnorm > 1e-12:
-            # Soundness is membership in ker R; the operator residual avoids
-            # comparing against a column-capped kernel basis that may omit
-            # genuine high-degree directions.
-            resid = float(np.linalg.norm(inst.operator.entries @ f) / fnorm)
-            forward_max = max(forward_max, resid)
-            image_vectors.append(f / fnorm)
-        else:
-            zero_images += 1
-        shifted = [np.concatenate([k[1:], [0.0]]) for k in k_vectors]
-        backshift_max = max(backshift_max, _constraint_violation(frame, shifted))
+        samples = np.hstack([samples, mixed / np.linalg.norm(mixed, axis=0)])
+    images = np.hstack([a[:, :cap_fwd] for a in frame.slot_maps]) @ samples
+    norms = np.linalg.norm(images, axis=0)
+    live = norms > 1e-12
+    image_units = images[:, live] / norms[live]
+    # Soundness is membership in ker R; the operator residual avoids
+    # comparing against a column-capped kernel basis that may omit genuine
+    # high-degree directions.
+    forward_max = float(
+        np.max(np.linalg.norm(inst.operator.entries @ image_units, axis=0), initial=0.0)
+    )
+    # S* moves every slot block of a tuple down one coefficient.
+    blocks = samples.reshape(frame.slot_count, cap_fwd, samples.shape[1])
+    shifted = np.zeros_like(blocks)
+    shifted[:, :-1] = blocks[:, 1:]
+    backshift_max = float(
+        np.max(_clause_violation(clauses_fwd, shifted.reshape(samples.shape)), initial=0.0)
+    )
+    zero_images = int(np.count_nonzero(~live))
     if zero_images:
         notes.append(f"{zero_images} sampled tuples assemble to zero")
     reverse_max = 0.0
@@ -847,12 +773,8 @@ def verify_corollary(
             tuple_sq = np.linalg.norm(solution, axis=0) ** 2
             norm_err = float(np.max(np.abs(target_sq - tuple_sq)))
     audit: float | None = None
-    if image_vectors and k_dim <= SAMPLE_CAP and m.dim > 0:
-        image_span = span(
-            [AnalyticSeries(vec, truncation) for vec in image_vectors],
-            truncation,
-            rank_tol,
-        )
+    if image_units.shape[1] and k_dim <= SAMPLE_CAP and m.dim > 0:
+        image_span = span(image_units.T, truncation, rank_tol)
         if image_span.dim == m.dim:
             audit = float(principal_angles(image_span, m)[-1])
         else:
@@ -874,9 +796,9 @@ def verify_corollary(
         branch=frame.branch,
         kernel_dim=m.dim,
         k_dim_sampled=k_dim,
-        forward_samples=len(samples),
-        forward_max_residual=float(forward_max),
-        backshift_max_violation=float(backshift_max),
+        forward_samples=samples.shape[1],
+        forward_max_residual=forward_max,
+        backshift_max_violation=backshift_max,
         reverse_max_residual=float(reverse_max),
         constraint_max_violation=float(constraint_max),
         f0_membership_residual=float(f0_resid),
@@ -884,6 +806,28 @@ def verify_corollary(
         subspace_angle_audit=audit,
         passed=passed,
         notes=tuple(notes),
+    )
+
+
+def verify_corollary(
+    sym: Symbol,
+    pert: PerturbationSpec,
+    truncation: int,
+    inner_truncation: int = DEFAULT_INNER_TRUNCATION,
+    rank_tol: float = DEFAULT_RANK_TOL,
+    membership_tol: float = MEMBERSHIP_TOL,
+    constraint_tol: float = CONSTRAINT_TOL,
+    seed: int = 0,
+    frame: CgpFrame | None = None,
+) -> RepresentationReport:
+    """check_corollary on a fresh instance built from raw operator data."""
+    return check_corollary(
+        Instance(sym, pert, truncation, rank_tol),
+        inner_truncation,
+        membership_tol,
+        constraint_tol,
+        seed,
+        frame,
     )
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cgp import DEFAULT_INNER_TRUNCATION, verify_corollary
+from .cgp import DEFAULT_INNER_TRUNCATION, check_corollary
 from .defects import Instance, WitnessReport, check_defect_theorem
 from .errors import HeadroomError, InputError
 from .operators import (
@@ -354,12 +354,9 @@ def run_scenario(scenario: Scenario, stabilize: bool = True) -> ScenarioReport:
                 CheckOutcome("witness", witness.passed(tol.membership), details)
             )
         else:
-            rep = verify_corollary(
-                scenario.symbol,
-                scenario.perturbation,
-                scenario.truncation,
+            rep = check_corollary(
+                inst,
                 scenario.inner_truncation,
-                rank_tol=tol.rank,
                 membership_tol=tol.membership,
                 constraint_tol=tol.constraint,
                 seed=scenario.seed,

@@ -20,10 +20,6 @@ from .errors import (
     TruncationMismatchError,
 )
 
-# Relative mass discarded by a truncated product above which the result
-# is flagged as untrustworthy.
-TAIL_MASS_RATIO = 1e-8
-
 COEFF_TRIM_TOL = 1e-300
 
 # Roots within this distance outside the unit circle count as on it.
@@ -248,25 +244,15 @@ def laurent_conj(f: LaurentSeries) -> LaurentSeries:
 
 
 def multiply(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
-    """Pointwise product on the circle, truncated back to -N..N."""
-    out, _ = multiply_tracked(f, g)
-    return out
+    """Pointwise product on the circle, truncated back to -N..N.
 
-
-def multiply_tracked(f: LaurentSeries, g: LaurentSeries) -> tuple[LaurentSeries, float]:
-    """Product plus the relative coefficient mass discarded by truncation.
-
-    The second value exceeding TAIL_MASS_RATIO means the truncation order
-    left no headroom for this product; callers surface that as a flag.
+    Nothing is lost for an analytic factor (indices 0..N-1) times a
+    co-analytic one (-(N-1)..0): the product stays inside -(N-1)..N-1.
     """
     _same_truncation(f, g)
     n = f.truncation
     full = np.convolve(f.coeffs, g.coeffs)  # indices -2N..2N
-    kept = full[n : 3 * n + 1]
-    discarded = np.linalg.norm(full[: n]) ** 2 + np.linalg.norm(full[3 * n + 1 :]) ** 2
-    total = np.linalg.norm(full) ** 2
-    ratio = float(discarded / total) if total > 0 else 0.0
-    return LaurentSeries(kept, n), ratio
+    return LaurentSeries(full[n : 3 * n + 1], n)
 
 
 def multiply_analytic(f: AnalyticSeries, g: AnalyticSeries) -> AnalyticSeries:

@@ -202,13 +202,7 @@ def vanish_at_zero(m: Subspace) -> Subspace:
 def contains(m: Subspace, f, tol: float = 1e-8) -> tuple[bool, float]:
     """Membership up to relative residual; the zero vector always belongs."""
     vec = f.coeffs if isinstance(f, AnalyticSeries) else np.asarray(f, dtype=np.complex128)
-    if vec.shape[0] != m.truncation:
-        raise InputError("vector truncation disagrees with subspace")
-    nv = np.linalg.norm(vec)
-    if nv == 0.0:
-        return True, 0.0
-    resid = vec - m.frame @ (m.frame.conj().T @ vec)
-    rel = float(np.linalg.norm(resid) / nv)
+    rel = float(relative_residuals(m, vec[:, None])[0])
     return rel < tol, rel
 
 

@@ -38,10 +38,8 @@ def test_z_power_is_exact_monomial_shift():
 def test_degree_counts_multiplicities_and_power():
     b = BlaschkeProduct(zeros=((0.3, 2),), z_power=1)
     assert b.degree() == 3
-    assert b.value_at_zero() == 0.0
     c = BlaschkeProduct.from_points([0.3, -0.2j])
     assert c.degree() == 2
-    assert c.value_at_zero() == pytest.approx(0.3 * (-0.2j))
 
 
 def test_zeros_must_lie_inside_the_disk():

@@ -9,8 +9,6 @@ from neartoep.blaschke import BlaschkeProduct, blaschke_expand
 from neartoep.cgp import (
     build_cgp_frame,
     build_monomial_split_frame,
-    cgp_decompose,
-    k_membership,
     monomial_split_expected_kernel,
     remark_projection_direct,
     remark_projection_formula,
@@ -18,7 +16,7 @@ from neartoep.cgp import (
     w_theta,
 )
 from neartoep.defects import Instance
-from neartoep.errors import HeadroomError, HypothesisViolationError, InputError
+from neartoep.errors import HypothesisViolationError, InputError
 from neartoep.operators import (
     ConjInnerSymbol,
     InnerSymbol,
@@ -106,8 +104,8 @@ def test_constant_direction_constraints_are_vacuous():
     arbitrary = AnalyticSeries(
         rng.standard_normal(N) + 1j * rng.standard_normal(N), N
     )
-    ok, violation = k_membership(frame, [arbitrary])
-    assert ok and violation < 1e-12
+    clauses = cgp._stack_clauses(frame, N)
+    assert cgp._clause_violation(clauses, arbitrary.coeffs[:, None])[0] < 1e-12
 
 
 def test_decompose_shifted_space_recovers_coefficients():
@@ -116,29 +114,23 @@ def test_decompose_shifted_space_recovers_coefficients():
     frame = build_cgp_frame(ZeroSymbol(), rank_one(u, v), N, INNER)
     q = AnalyticSeries.from_coeffs([1.0, -2.0, 3j], N)
     f = shift(q)
-    k_list, fit = cgp_decompose(f, frame, INNER)
-    assert fit < 1e-12
-    assert np.max(np.abs(k_list[0].coeffs[:4] - q.coeffs[:4])) < 1e-10
+    solution, fit, _ = cgp._reverse_fit(
+        frame, f.coeffs[:, None], INNER, 1e-9, cgp.CONSTRAINT_TOL
+    )
+    assert fit[0] < 1e-12
+    assert np.max(np.abs(solution[:4, 0] - q.coeffs[:4])) < 1e-10
 
 
 def test_decompose_f0_fits_exactly():
     u = binomial_direction(2)
     v = AnalyticSeries.from_coeffs([0, 1.0], N)
     frame = build_cgp_frame(ZeroSymbol(), rank_one(u, v), N, INNER)
-    k_list, fit = cgp_decompose(frame.f0, frame, INNER)
-    assert fit < 1e-12
-    rebuilt = np.zeros(N, dtype=np.complex128)
-    for mat, k in zip(frame.slot_maps, k_list):
-        rebuilt += mat @ k.coeffs
+    solution, fit, violation = cgp._reverse_fit(
+        frame, frame.f0.coeffs[:, None], INNER, 1e-9, cgp.CONSTRAINT_TOL
+    )
+    assert fit[0] < 1e-12 and violation[0] < cgp.CONSTRAINT_TOL
+    rebuilt = np.hstack([m[:, :INNER] for m in frame.slot_maps]) @ solution[:, 0]
     assert np.max(np.absolute(rebuilt - frame.f0.coeffs)) < 1e-10
-
-
-def test_decompose_headroom_guard():
-    u = binomial_direction(1)
-    v = AnalyticSeries.from_coeffs([0, 1.0], N)
-    frame = build_cgp_frame(ZeroSymbol(), rank_one(u, v), N, INNER)
-    with pytest.raises(HeadroomError):
-        cgp_decompose(frame.f0, frame, N + 1)
 
 
 def _inner_line_instance(n, head):
@@ -156,15 +148,15 @@ def test_inner_line_membership_follows_constant_times_zero():
     sym, pert = _inner_line_instance(N, [1.0, 0.5])
     frame = build_cgp_frame(sym, pert, N, INNER)
     assert frame.branch == "nonvanishing-mean"
-    const = AnalyticSeries.from_coeffs([2.0], N)
-    zero = AnalyticSeries.zero(N)
-    z_slot = AnalyticSeries.from_coeffs([0, 1.0], N)
-    ok, _ = k_membership(frame, [const, zero])
-    assert ok
-    bad, violation = k_membership(frame, [zero, z_slot])
-    assert not bad and violation > 0.1
-    with pytest.raises(InputError):
-        k_membership(frame, [const])
+    clauses = cgp._stack_clauses(frame, N)
+    assert clauses.shape[1] == 2 * N
+    const = AnalyticSeries.from_coeffs([2.0], N).coeffs
+    zero = AnalyticSeries.zero(N).coeffs
+    z_slot = AnalyticSeries.from_coeffs([0, 1.0], N).coeffs
+    tuples = np.column_stack([np.concatenate(t) for t in ((const, zero), (zero, z_slot))])
+    member, outsider = cgp._clause_violation(clauses, tuples)
+    assert member < cgp.CONSTRAINT_TOL
+    assert outsider > 0.1
 
 
 def test_trivial_branch_reports_empty_kernel():
@@ -262,8 +254,7 @@ def test_generic_head_gap_persists():
     assert rep_2n.forward_max_residual > 0.5 * rep_n.forward_max_residual
 
 
-def test_orthogonal_split_gap_persists():
-    n = N
+def _orthogonal_split_instance(n=N):
     th = BlaschkeProduct(z_power=3)
     th_exp = blaschke_expand(th, n)
     s = AnalyticSeries.from_coeffs([0.0, 1.0, 0.5], n)
@@ -271,8 +262,11 @@ def test_orthogonal_split_gap_persists():
     kappa = np.conj(-1.0 / complex(inner_product(v, s)))
     u_theta = kappa * multiply_analytic(th_exp, s)
     u1 = s * (np.sqrt(1.0 - u_theta.norm() ** 2) / s.norm())
-    pert = rank_one(u1 + u_theta, v)
-    rep = verify_corollary(ConjInnerSymbol(th), pert, n, INNER)
+    return ConjInnerSymbol(th), rank_one(u1 + u_theta, v)
+
+
+def test_orthogonal_split_gap_persists():
+    rep = verify_corollary(*_orthogonal_split_instance(), N, INNER)
     assert rep.branch == "orthogonal-split"
     assert not rep.passed
     assert rep.forward_max_residual > GAP_FLOOR
@@ -291,13 +285,29 @@ def test_remark_projection_formula_matches_direct():
     assert (lhs - rhs).norm() < FORMULA_TOL
 
 
+def _slot_vectors(frame, stacked, cap):
+    """Each slot's full-length coefficient vector, zero above the cap."""
+    k_vectors = np.zeros((frame.slot_count, frame.truncation), dtype=np.complex128)
+    k_vectors[:, :cap] = stacked.reshape(frame.slot_count, cap)
+    return k_vectors
+
+
+def _per_slot_violation(frame, k_vectors):
+    """Largest clause residual, clause by clause and slot by slot, over max(1, |tuple|)."""
+    worst = 0.0
+    for clause in frame.clauses:
+        terms = [mat @ k for mat, k in zip(clause.mats, k_vectors) if mat is not None]
+        if terms:
+            worst = max(worst, float(np.max(np.abs(sum(terms)))))
+    return worst / max(1.0, float(np.linalg.norm(k_vectors)))
+
+
 def _per_column_reverse_fit(frame, targets, cap, rank_tol, constraint_tol):
     """Reference: one lstsq per column, with the clauses applied slot by slot."""
     big = np.hstack([m[:, :cap] for m in frame.slot_maps])
 
     def violation(stacked):
-        k_vectors = cgp._split_stacked(stacked, frame.slot_count, cap, frame.truncation)
-        return cgp._constraint_violation(frame, k_vectors)
+        return _per_slot_violation(frame, _slot_vectors(frame, stacked, cap))
 
     null_basis = None
     solutions, fits, violations, refit = [], [], [], 0
@@ -344,6 +354,44 @@ def test_batched_reverse_fit_matches_per_column_reference(instance):
     assert np.all(np.linalg.norm(solution - ref_solution, axis=0) <= 1e-12 * scale)
     assert np.max(np.abs(fit - ref_fit)) < 1e-14
     assert np.max(np.abs(violation - ref_violation)) < 1e-14
+
+
+def _per_tuple_forward_check(inst, frame, seed):
+    """Reference: the forward check one sampled tuple at a time, each slot a
+    full-length vector, S* applied to every slot."""
+    cap = min(INNER, inst.truncation - frame.degree_pad)
+    null_fwd = cgp._nullspace(cgp._stack_clauses(frame, cap), inst.rank_tol)
+    k_dim = null_fwd.shape[1]
+    samples = [null_fwd[:, j] for j in range(min(k_dim, cgp.SAMPLE_CAP))]
+    if k_dim > 1:
+        rng = np.random.default_rng(seed)
+        mix = rng.standard_normal((k_dim, 4)) + 1j * rng.standard_normal((k_dim, 4))
+        samples += [col / np.linalg.norm(col) for col in (null_fwd @ mix).T]
+    forward, backshift_worst = 0.0, 0.0
+    for stacked in samples:
+        k_vectors = _slot_vectors(frame, stacked, cap)
+        f = sum(mat @ k for mat, k in zip(frame.slot_maps, k_vectors))
+        fnorm = np.linalg.norm(f)
+        if fnorm > 1e-12:
+            forward = max(forward, np.linalg.norm(inst.operator.entries @ f) / fnorm)
+        shifted = [np.append(k[1:], 0.0) for k in k_vectors]
+        backshift_worst = max(backshift_worst, _per_slot_violation(frame, shifted))
+    return forward, backshift_worst, len(samples)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [_zero_symbol_binomial, lambda: _monomial_split_instance(N, 2), _orthogonal_split_instance],
+    ids=["zero-symbol", "conj-inner-split", "orthogonal-split-gap"],
+)
+def test_stacked_forward_check_matches_per_tuple_reference(instance):
+    inst = Instance(*instance(), N)
+    frame = cgp._instance_frame(inst, INNER)
+    rep = cgp.check_corollary(inst, INNER, seed=5)
+    forward, backshift_worst, samples = _per_tuple_forward_check(inst, frame, 5)
+    assert rep.forward_samples == samples > 1
+    assert abs(rep.forward_max_residual - forward) <= 1e-14 * max(1.0, forward)
+    assert abs(rep.backshift_max_violation - backshift_worst) < 1e-14
 
 
 def test_zero_symbol_reverse_fit_makes_at_most_two_lstsq_calls(monkeypatch):

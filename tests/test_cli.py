@@ -133,8 +133,8 @@ def test_run_scenario_without_stabilization():
 
 @pytest.mark.parametrize(
     "checks",
-    [["kernel"], ["kernel", "defect", "witness"]],
-    ids=["kernel", "kernel-defect-witness"],
+    [["kernel"], ["kernel", "defect", "witness"], ["kernel", "defect", "witness", "cgp"]],
+    ids=["kernel", "kernel-defect-witness", "kernel-defect-witness-cgp"],
 )
 def test_kernel_check_and_stability_audit_share_one_instance(monkeypatch, checks):
     data = basic_scenario_dict()

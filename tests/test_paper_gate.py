@@ -1,0 +1,30 @@
+"""The paper-256 benchmark's correctness gate, inside the tier-1 suite.
+
+perfbench/run.py rejects a paper-256 pass when a catalogue row does not
+pass or when an integer skeleton (kernel dim, defect dim, bound, cgp
+branch) differs from perfbench/reference.json.  This test runs the
+benchmark's own workload code for one pass of `verify-paper --truncation
+256` and applies both checks.  It also counts the kernel SVDs: the
+defect, representation and stability checks of a row all read the kernel
+of the row's one Instance.  The test reads perfbench/ and writes nothing
+there.
+"""
+
+import json
+
+from conftest import PERFBENCH, count_calls, load_perfbench_workloads
+from neartoep import subspaces
+
+# 27 of the 28 rows build one Instance: one kernel SVD at N = 256 and one
+# at 2N in its stability audit.  The closed-form remark row builds none.
+KERNEL_SUBSPACE_CALLS = 2 * 27
+
+
+def test_paper_rows_pass_the_benchmark_gate(monkeypatch, tmp_path):
+    workloads = load_perfbench_workloads(monkeypatch)
+    calls = count_calls(monkeypatch, subspaces, "kernel_subspace")
+    result = workloads.PaperWorkload(0, tmp_path).run_pass()
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    assert result.verdicts and all(result.verdicts)
+    assert result.skeletons == reference["paper-256"]
+    assert len(calls) == KERNEL_SUBSPACE_CALLS

@@ -22,7 +22,6 @@ from neartoep.series import (
     laurent_conj,
     multiply,
     multiply_analytic,
-    multiply_tracked,
     reproducing_kernel,
     riesz_project,
     shift,
@@ -102,16 +101,6 @@ def test_multiply_analytic_truncates_cauchy_product():
     f = series([1, 1], n=4)
     g = multiply_analytic(f, f)  # (1+z)^2 = 1 + 2z + z^2
     assert np.allclose(g.coeffs, [1, 2, 1, 0], atol=EXACT_TOL)
-
-
-def test_multiply_tracked_reports_lost_mass():
-    n = 3
-    f = embed(AnalyticSeries.from_coeffs([0, 0, 1.0], n))  # z^2 at order 3
-    _, lost = multiply_tracked(f, f)  # z^4 exceeds the window
-    assert lost > 0.5
-    g = embed(AnalyticSeries.from_coeffs([1.0], n))
-    _, kept = multiply_tracked(g, g)
-    assert kept == 0.0
 
 
 def test_shift_backshift_are_one_sided_inverses():
