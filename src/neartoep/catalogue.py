@@ -474,20 +474,24 @@ def _r20(n: int, ni: int):
     return _rep_row(ConjInnerSymbol(th), PerturbationSpec(((u, v),)), n, ni)
 
 
-@_row(
-    "rep-conj-inner-extended-model",
-    "With a vanishing selector the kernel extends the model space by the "
-    "multiplied direction.",
-)
-def _r21(n: int, ni: int):
+def _extended_model_instance(n: int):
     th = _conj_pair_symbol()
     th_exp = blaschke_expand(th, n)
     u = _unit(multiply_analytic(th_exp, _poly([1.0, 0.4, -0.2], n)))
     v_base = _poly([0.5, 0.2, -0.3, 0.1], n)
     tv = multiply_analytic(th_exp, v_base)
     kappa = -1.0 / complex(inner_product(tv, u))
-    pert = PerturbationSpec(((u, kappa * v_base),))
-    return _rep_row(ConjInnerSymbol(th), pert, n, ni)
+    return ConjInnerSymbol(th), PerturbationSpec(((u, kappa * v_base),))
+
+
+@_row(
+    "rep-conj-inner-extended-model",
+    "With a vanishing selector the kernel extends the model space by the "
+    "multiplied direction.",
+)
+def _r21(n: int, ni: int):
+    sym, pert = _extended_model_instance(n)
+    return _rep_row(sym, pert, n, ni)
 
 
 def _split_instance(n: int, th: BlaschkeProduct, tail: Sequence[complex]):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .blaschke import BlaschkeProduct, blaschke_expand
 from .errors import HypothesisViolationError, InputError
@@ -32,7 +33,6 @@ from .operators import (
 )
 from .series import (
     AnalyticSeries,
-    backshift,
     conj_on_circle,
     embed,
     multiply,
@@ -187,28 +187,76 @@ class Instance:
     def f2_inv(self) -> AnalyticSeries:
         return taylor_invert(self.symbol.f2.resized(self.truncation))
 
-    @cached_property
-    def shifted_images(self) -> np.ndarray:
-        """The case's corrector applied to each S*v_i, one column per term (not for g = 0).
+    def _corrected(self, cols: np.ndarray) -> np.ndarray:
+        """The case's corrector applied to every column of an N x k array (not for g = 0).
 
         T_conj(theta) for an inner symbol, T_{1/f1} T_conj(1/f2) for an
         invertible product, multiplication by theta for a conjugate-inner
-        symbol.  F is spanned by the columns (plus model parts), and a
-        witness combines them with the weights <h, u_i>.
+        symbol.  Each maps T_g x back to x up to ker T_g.
         """
-        terms = self.perturbation.terms
-        out = np.zeros((self.truncation, len(terms)), dtype=np.complex128)
-        for i, (_, v) in enumerate(terms):
-            sv = backshift(v)
+        n = self.truncation
+        out = np.zeros((n, cols.shape[1]), dtype=np.complex128)
+        for i, col in enumerate(cols.T):
+            h = AnalyticSeries(col, n)
             if isinstance(self.symbol, InnerSymbol):
-                image = conj_toeplitz_apply(self.theta, sv)
+                image = conj_toeplitz_apply(self.theta, h)
             elif isinstance(self.symbol, InvertibleProductSymbol):
-                image = multiply_analytic(self.f1_inv, conj_toeplitz_apply(self.f2_inv, sv))
+                image = multiply_analytic(self.f1_inv, conj_toeplitz_apply(self.f2_inv, h))
             else:
-                image = multiply_analytic(self.theta, sv)
+                image = multiply_analytic(self.theta, h)
             out[:, i] = image.coeffs
+        return out
+
+    @cached_property
+    def shifted_images(self) -> np.ndarray:
+        """The corrector applied to each S*v_i, one column per term (not for g = 0).
+
+        F is spanned by the columns (plus model parts), and a witness
+        combines them with the weights <h, u_i>.
+        """
+        out = self._corrected(_backshift_columns(self.perturbation.v_matrix(self.truncation)))
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def structured_kernel(self) -> tuple[Subspace, float]:
+        """The window kernel solved from the operator's structure, and its tail.
+
+        With U, V holding the u_i, v_i, K the model-space frame and C the
+        corrector, R x = 0 reduces to a small system in c = U^H x:
+        - inner theta: theta x = -V c, so V c lies in theta H^2
+          (K^H V c = 0), x = -C V c and (I + U^H C V) c = 0;
+        - invertible f1 conj(f2): x = -C V c and (I + U^H C V) c = 0;
+        - conjugate inner: x = -C V c + K b, the second term spanning
+          ker T_conj(theta), and (I + U^H C V) c = U^H K b.
+        The solutions are orthonormalized over all N coefficients and cut
+        to the column window [0, N // 2), which carries its complement as
+        kernel_subspace's does.  The tail is the largest norm beyond the
+        window of a unit kernel vector; the window holds the kernel only
+        while it is below rank_tol.  Zero and trigonometric-polynomial
+        symbols have no such reduction and return the SVD kernel, tail 0.
+        """
+        sym, n, cap = self.symbol, self.truncation, self.column_cap
+        if not isinstance(sym, (InnerSymbol, InvertibleProductSymbol, ConjInnerSymbol)):
+            return self.kernel, 0.0
+        u, v = self.perturbation.u_matrix(n), self.perturbation.v_matrix(n)
+        cv = self._corrected(v)
+        pairing = np.eye(u.shape[1]) + u.conj().T @ cv
+        if isinstance(sym, InvertibleProductSymbol):
+            system, solutions = pairing, cv
+        elif isinstance(sym, InnerSymbol):
+            system, solutions = np.vstack((self.k_theta.frame.conj().T @ v, pairing)), cv
+        else:
+            k = self.k_theta.frame
+            system = np.hstack((pairing, -(u.conj().T @ k)))
+            solutions = np.hstack((-cv, k))
+        q, _ = np.linalg.qr(solutions @ _null_space(system, self.rank_tol))
+        dim = q.shape[1]
+        tail = float(np.linalg.norm(q[cap:], 2)) if dim else 0.0
+        window = scipy.linalg.qr(q[:cap], mode="full")[0]
+        frame = np.zeros((n, dim), dtype=np.complex128)
+        frame[:cap] = window[:, :dim]
+        return Subspace(frame, n, self.rank_tol, complement=window[:, dim:]), tail
 
     @cached_property
     def negative_frame(self) -> np.ndarray:
@@ -280,6 +328,18 @@ def theorem_defect_bound(inst: Instance) -> int:
     if isinstance(inst.symbol, ConjInnerSymbol) and n:
         return n + len(inst.lambda_set)
     return n
+
+
+def _null_space(mat: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Orthonormal null-space frame of a small system.
+
+    Singular values up to rank_tol * max(1, s0) count as zero, the cut
+    minimal_defect uses: the systems are built from unit-scale data, and a
+    system that is exactly zero has s0 at round-off.
+    """
+    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    threshold = rank_tol * max(1.0, float(s[0]) if s.size else 0.0)
+    return vh[int(np.count_nonzero(s > threshold)) :].conj().T
 
 
 def _backshift_columns(mat: np.ndarray) -> np.ndarray:

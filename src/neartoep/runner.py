@@ -27,7 +27,7 @@ from .operators import (
     symbol_from_json,
 )
 from .series import COEFF_TRIM_TOL
-from .subspaces import DefectReport
+from .subspaces import DefectReport, minimal_defect, vanish_at_zero
 
 VALID_CHECKS = ("kernel", "defect", "witness", "cgp")
 DEFAULT_TRUNCATION = 128
@@ -224,11 +224,16 @@ def stability_summary(inst: Instance) -> dict:
 
     Finite kernels must repeat their dimension; annihilator-style symbols
     have cofinite kernels, for which the codimension inside the scan
-    window is the stable quantity instead.
+    window is the stable quantity instead.  The working order reads the
+    SVD kernel the checks measure; the double reads the structured kernel,
+    whose tail beyond the window must also stay below rank_tol.
     """
     d1, c1, f1 = kernel_profile(inst)
-    d2, c2, f2 = kernel_profile(inst.doubled)
-    stable = (d1 == d2 or c1 - d1 == c2 - d2) and f1 == f2
+    doubled = inst.doubled
+    m2, tail = doubled.structured_kernel
+    d2, c2 = m2.dim, doubled.column_cap
+    f2 = minimal_defect(m2, vanish_at_zero(m2)).defect_dim
+    stable = (d1 == d2 or c1 - d1 == c2 - d2) and f1 == f2 and tail <= inst.rank_tol
     return {
         "kernel_dim": d1,
         "kernel_dim_doubled": d2,

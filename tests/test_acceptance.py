@@ -41,7 +41,7 @@ from neartoep.operators import (
     toeplitz_matrix,
     toeplitz_product_residual,
 )
-from neartoep.runner import stability_summary
+from neartoep.runner import kernel_profile, stability_summary
 from neartoep.series import (
     AnalyticSeries,
     LaurentSeries,
@@ -384,9 +384,19 @@ def test_criterion_8_stability_across_doubling():
         rng = np.random.default_rng(80_000 + offset)
         sym = _suite_symbol(case, rng, REP_TRUNCATION)
         pert = seeded_perturbation(rng, REP_TRUNCATION, 2, max_degree=6)
-        summary = stability_summary(Instance(sym, pert, REP_TRUNCATION))
+        inst = Instance(sym, pert, REP_TRUNCATION)
+        summary = stability_summary(inst)
         if not summary["stable_at_double"]:
             failures.append(f"{case}: scenario unstable at doubled truncation")
+        # The audit reads the structured kernel at 2N; the SVD there stays the reference.
+        dim, cap, defect = kernel_profile(inst.doubled)
+        reference = (dim, cap - dim, defect)
+        audited_2n = tuple(
+            summary[key]
+            for key in ("kernel_dim_doubled", "kernel_codim_doubled", "defect_dim_doubled")
+        )
+        if audited_2n != reference:
+            failures.append(f"{case}: 2N audit {audited_2n} vs SVD {reference}")
         if summary["defect_dim"] != summary["defect_dim_doubled"]:
             failures.append(
                 f"{case}: defect {summary['defect_dim']} vs "

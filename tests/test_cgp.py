@@ -406,7 +406,7 @@ def test_zero_symbol_reverse_fit_makes_at_most_two_lstsq_calls(monkeypatch):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 3: zero-symbol rank-one data fails the reverse fit "
+    reason="ROADMAP item 1(a): zero-symbol rank-one data fails the reverse fit "
     "at N = 64 though N = 64 clears the headroom floor (residual 4.6e-3 for "
     "degree 8, 2.1e-5 to 8.1e-3 for degree 4); all pass at N = 128",
 )

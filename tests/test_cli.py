@@ -6,18 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import count_calls
+from conftest import count_calls, linalg_calls, seeded_perturbation
 from neartoep import subspaces
 from neartoep.blaschke import BlaschkeProduct, blaschke_expand
 from neartoep.cli import main
+from neartoep.defects import Instance
 from neartoep.errors import HeadroomError, InputError
 from neartoep.operators import ConjInnerSymbol, InnerSymbol, PerturbationSpec, ZeroSymbol
 from neartoep.runner import (
     Scenario,
     Tolerances,
+    kernel_profile,
     run_scenario,
     run_suite,
     scenarios_from_json,
+    stability_summary,
 )
 from neartoep.series import AnalyticSeries, inner_product, multiply_analytic
 
@@ -143,7 +146,20 @@ def test_kernel_check_and_stability_audit_share_one_instance(monkeypatch, checks
     calls = count_calls(monkeypatch, subspaces, "kernel_subspace")
     report = run_scenario(scenario, stabilize=True)
     assert report.passed
-    assert [args[0].truncation for args, _ in calls] == [N, 2 * N]
+    # The scenario's symbol is inner, so the 2N audit reads the structured kernel.
+    assert [args[0].truncation for args, _ in calls] == [N]
+
+
+def test_doubled_audit_of_a_conj_inner_instance_svds_only_small_systems(monkeypatch):
+    theta = BlaschkeProduct.from_points([0.3, -0.4j], z_power=1)
+    pert = seeded_perturbation(np.random.default_rng(404), N, rank=2, max_degree=6)
+    inst = Instance(ConjInnerSymbol(theta), pert, N)
+    kernel_profile(inst)  # the N side, whose SVD kernel the checks measure
+    calls = linalg_calls(monkeypatch, "svd")
+    assert stability_summary(inst)["stable_at_double"]
+    widths = [args[0].shape[1] for args, _ in calls]
+    # An SVD of the 2N window would be N columns wide.
+    assert widths and max(widths) <= pert.rank_bound + theta.degree()
 
 
 def test_run_suite_rejects_duplicate_ids():

@@ -10,13 +10,14 @@ from conftest import (
     seeded_perturbation,
     toeplitz_model_space,
 )
-from neartoep import defects, operators, series, subspaces
+from neartoep import catalogue, defects, operators, series, subspaces
 from neartoep.blaschke import BlaschkeProduct, blaschke_expand
 from neartoep.defects import (
     Instance,
     WitnessEntry,
     WitnessReport,
     check_defect_theorem,
+    conj_toeplitz_apply,
     defect_witness,
     defect_witnesses,
     lambda_set,
@@ -49,7 +50,14 @@ from neartoep.series import (
     riesz_project,
     shift,
 )
-from neartoep.subspaces import contains, kernel_subspace, principal_angles, span
+from neartoep.subspaces import (
+    contains,
+    kernel_subspace,
+    minimal_defect,
+    principal_angles,
+    span,
+    vanish_at_zero,
+)
 
 CONTAINMENT_TOL = 1e-7
 WITNESS_TOL = 1e-8
@@ -367,6 +375,76 @@ def test_batched_witnesses_match_the_per_h_construction(case):
     assert np.linalg.norm(single - expected[0][0]) <= 1e-12 * np.linalg.norm(expected[0][0])
 
 
+def _singular_pairing_instance(sym, corrector):
+    """Seeded rank-one data with v scaled so that 1 + <C v, u> = 0, C the
+    case's corrector.  For an inner symbol v stays outside theta H^2, so
+    the kernel is still trivial: only the K^H V block rules the line out."""
+    rng = np.random.default_rng(707)
+    (u, v), = seeded_perturbation(rng, N, rank=1, max_degree=6).terms
+    kappa = -1.0 / complex(inner_product(corrector(v), u))
+    return Instance(sym, PerturbationSpec(((u, kappa * v),)), N)
+
+
+def _structured_instance(case):
+    # Zeros well inside the disk (|.| <= 0.3, or 1/f decaying as 0.3^n), so
+    # the window N/2 = 32 holds every kernel vector to round-off.
+    theta = BlaschkeProduct.from_points([0.3, -0.2j], z_power=1)
+    f1 = AnalyticSeries.from_coeffs([1.0, 0.3], N)
+    f2 = AnalyticSeries.from_coeffs([1.0, -0.2j], N)
+    empty = PerturbationSpec(())
+    if case in ("inner", "invertible", "conj_inner"):
+        return _equivalence_instance(case)
+    if case == "inner-outside-theta-h2":
+        th = blaschke_expand(theta, N)
+        return _singular_pairing_instance(
+            InnerSymbol(theta), lambda v: conj_toeplitz_apply(th, v)
+        )
+    if case == "invertible-singular-pairing":
+        f1_inv, f2_inv = series.taylor_invert(f1), series.taylor_invert(f2)
+        return _singular_pairing_instance(
+            InvertibleProductSymbol(f1, f2),
+            lambda v: multiply_analytic(f1_inv, conj_toeplitz_apply(f2_inv, v)),
+        )
+    if case.startswith("inner-line"):
+        head = [1.0, 0.5, 0.2] if case.endswith("nonzero-mean") else [0.0, 1.0, 1 / 3]
+        return Instance(*catalogue._inner_line_instance(N, head), N)
+    if case.startswith("invertible-line"):
+        zero_mean = case.endswith("-zero-mean")
+        return Instance(*catalogue._invertible_line_instance(N, zero_mean), N)
+    if case == "conj-inner-extended-model":
+        return Instance(*catalogue._extended_model_instance(N), N)
+    if case == "inner-empty":
+        return Instance(InnerSymbol(theta), empty, N)
+    if case == "invertible-empty":
+        return Instance(InvertibleProductSymbol(f1, f2), empty, N)
+    return Instance(ConjInnerSymbol(theta), empty, N)
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["N", "2N"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "inner", "inner-outside-theta-h2", "invertible", "invertible-singular-pairing",
+        "conj_inner", "inner-line-nonzero-mean", "inner-line-zero-mean",
+        "invertible-line-nonzero-mean", "invertible-line-zero-mean",
+        "conj-inner-extended-model", "inner-empty", "invertible-empty",
+        "conj-inner-empty",
+    ],
+)
+def test_structured_kernel_matches_the_svd_kernel(case, doubled):
+    inst = _structured_instance(case)
+    if doubled:
+        inst = inst.doubled
+    m, tail = inst.structured_kernel
+    assert m.dim == inst.kernel.dim
+    assert m.complement.shape == (inst.column_cap, inst.column_cap - m.dim)
+    if m.dim:
+        assert float(principal_angles(m, inst.kernel).max()) < ANGLE_TOL
+    assert minimal_defect(m, vanish_at_zero(m)).defect_dim == inst.defect.defect_dim
+    if doubled:
+        assert tail <= inst.rank_tol
+
+
 def _projection_defect(m, w, tol):
     """Reference defect from the full-space projection: project S*w off m in
     all N rows and SVD the N-row residual (frame, singular values)."""
@@ -440,7 +518,7 @@ def test_defect_matches_brute_force_on_small_case():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 3: the 6th kernel singular value (5.8e-9) sits in "
+    reason="ROADMAP item 1(b): the 6th kernel singular value (5.8e-9) sits in "
     "the rank-ambiguity band, so N = 64 reports defect 4 and a residual of "
     "1.2e-3 outside F where N >= 96 reports defect 5 inside it",
 )
