@@ -4,10 +4,11 @@ Each supported symbol class admits a representation of the kernel as
 f = sum_j A_j k_j with the coefficient tuple (k_0, ..., k_m) ranging over
 the nullspace of a small family of linear clauses.  This module builds the
 slot maps A_j and the clause family for every branch and verifies both
-directions against the computed kernel: sampled clause-nullspace tuples
-must assemble into the kernel, and the reverse fit decomposes every kernel
-basis vector into a tuple that meets the clauses.  A tuple is always one
-stacked column, slot blocks one above the other.
+directions against the computed kernel through one object, the clause
+nullspace T: the image of all of T must lie in the kernel and T must be
+S*-invariant, and every kernel basis vector must be the image of a tuple in
+T, found by one least-squares solve on T.  A tuple is always one stacked
+column, slot blocks one above the other.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ INNER_MODULUS_TOL = 1e-8
 # Kernel-membership residual and clause violation counting as zero.
 MEMBERSHIP_TOL = 1e-8
 CONSTRAINT_TOL = 1e-8
-SAMPLE_CAP = 32
 DEFAULT_INNER_TRUNCATION = 48
 _PAD_TOL = 1e-12
 
@@ -586,21 +586,18 @@ def _nullspace(matrix: np.ndarray, rank_tol: float) -> np.ndarray:
     return _fix_phases(basis)
 
 
-def _slot_fit(big: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm solutions of big @ x = t for every column t of targets.
+def _tuple_space(
+    frame: CgpFrame, cap: int, rank_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked clauses, an orthonormal basis of their nullspace, and the
+    stacked slot map, for tuples supported on coefficients [0, cap).
 
-    Returns the stacked solutions, one column per target, and each column's
-    residual norm relative to max(1, |t|).  One lstsq call serves every
-    column: the minimum-norm solution of a column does not depend on the
-    others (Golub & Van Loan, Matrix Computations, sec. 5.5).
+    The nullspace is the tuple space T of the corollary; the slot map sends
+    a stacked tuple to sum_j A_j k_j.
     """
-    solution, *_ = np.linalg.lstsq(big, targets, rcond=None)
-    return solution, _relative_fit(big, solution, targets)
-
-
-def _relative_fit(big: np.ndarray, solution: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    residual = np.linalg.norm(big @ solution - targets, axis=0)
-    return residual / np.maximum(1.0, np.linalg.norm(targets, axis=0))
+    clauses = _stack_clauses(frame, cap)
+    big = np.hstack([m[:, :cap] for m in frame.slot_maps])
+    return clauses, _nullspace(clauses, rank_tol), big
 
 
 def _clause_violation(clauses: np.ndarray, solution: np.ndarray) -> np.ndarray:
@@ -610,34 +607,22 @@ def _clause_violation(clauses: np.ndarray, solution: np.ndarray) -> np.ndarray:
 
 
 def _reverse_fit(
-    frame: CgpFrame,
-    targets: np.ndarray,
-    cap: int,
-    rank_tol: float,
-    constraint_tol: float,
+    frame: CgpFrame, targets: np.ndarray, cap: int, rank_tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slot tuples for every column of targets, with fits and violations.
 
-    Every column gets the minimum-norm tuple; the columns whose tuple breaks
-    a clause by more than constraint_tol are refit together on the clause
-    nullspace, when it is not empty.
+    Every tuple is the least-squares fit within the clause nullspace B:
+    solution = B @ lstsq(big @ B, targets), one solve for all columns
+    (the null-space method, Golub & Van Loan, Matrix Computations, sec.
+    6.2).  An empty nullspace gives zero tuples.  A column's fit is its
+    residual norm relative to max(1, |target|).
     """
-    big = np.hstack([m[:, :cap] for m in frame.slot_maps])
-    clauses = _stack_clauses(frame, cap)
-    solution, fit = _slot_fit(big, targets)
-    violation = _clause_violation(clauses, solution)
-    broken = violation > constraint_tol
-    if broken.any():
-        null_basis = _nullspace(clauses, rank_tol)
-        if null_basis.shape[1]:
-            reduced, *_ = np.linalg.lstsq(
-                big @ null_basis, targets[:, broken], rcond=None
-            )
-            stacked = null_basis @ reduced
-            solution[:, broken] = stacked
-            fit[broken] = _relative_fit(big, stacked, targets[:, broken])
-            violation[broken] = _clause_violation(clauses, stacked)
-    return solution, fit, violation
+    clauses, basis, big = _tuple_space(frame, cap, rank_tol)
+    reduced, *_ = np.linalg.lstsq(big @ basis, targets, rcond=None)
+    solution = basis @ reduced
+    fit = np.linalg.norm(big @ solution - targets, axis=0)
+    fit /= np.maximum(1.0, np.linalg.norm(targets, axis=0))
+    return solution, fit, _clause_violation(clauses, solution)
 
 
 @dataclass(frozen=True)
@@ -646,7 +631,6 @@ class RepresentationReport:
     branch: str
     kernel_dim: int
     k_dim_sampled: int
-    forward_samples: int
     forward_max_residual: float
     backshift_max_violation: float
     reverse_max_residual: float
@@ -663,7 +647,6 @@ class RepresentationReport:
             "branch": self.branch,
             "kernel_dim": self.kernel_dim,
             "k_dim_sampled": self.k_dim_sampled,
-            "forward_samples": self.forward_samples,
             "forward_max_residual": self.forward_max_residual,
             "backshift_max_violation": self.backshift_max_violation,
             "reverse_max_residual": self.reverse_max_residual,
@@ -681,7 +664,6 @@ def check_corollary(
     inner_truncation: int = DEFAULT_INNER_TRUNCATION,
     membership_tol: float = MEMBERSHIP_TOL,
     constraint_tol: float = CONSTRAINT_TOL,
-    seed: int = 0,
     frame: CgpFrame | None = None,
 ) -> RepresentationReport:
     """Bidirectional check of the kernel representation on an instance.
@@ -707,7 +689,6 @@ def check_corollary(
             branch=frame.branch,
             kernel_dim=m.dim,
             k_dim_sampled=0,
-            forward_samples=0,
             forward_max_residual=0.0,
             backshift_max_violation=0.0,
             reverse_max_residual=0.0,
@@ -729,42 +710,29 @@ def check_corollary(
             "column cap leaves no room for forward coefficient support"
         )
     cap_rev = min(truncation - frame.degree_pad, max(inner_truncation, inst.column_cap))
-    clauses_fwd = _stack_clauses(frame, cap_fwd)
-    null_fwd = _nullspace(clauses_fwd, rank_tol)
+    # Forward: the image of the whole tuple space must lie in ker R, and the
+    # tuple space must be S*-invariant; both are 2-norms over orthonormal
+    # frames, so neither depends on the nullspace basis.  The operator
+    # residual avoids comparing against a column-capped kernel basis that
+    # may omit genuine high-degree directions.
+    clauses_fwd, null_fwd, big_fwd = _tuple_space(frame, cap_fwd, rank_tol)
     k_dim = null_fwd.shape[1]
-    samples = null_fwd[:, :SAMPLE_CAP]
-    if k_dim > 1:
-        rng = np.random.default_rng(seed)
-        mix = rng.standard_normal((k_dim, 4)) + 1j * rng.standard_normal((k_dim, 4))
-        mixed = null_fwd @ mix
-        samples = np.hstack([samples, mixed / np.linalg.norm(mixed, axis=0)])
-    images = np.hstack([a[:, :cap_fwd] for a in frame.slot_maps]) @ samples
-    norms = np.linalg.norm(images, axis=0)
-    live = norms > 1e-12
-    image_units = images[:, live] / norms[live]
-    # Soundness is membership in ker R; the operator residual avoids
-    # comparing against a column-capped kernel basis that may omit genuine
-    # high-degree directions.
-    forward_max = float(
-        np.max(np.linalg.norm(inst.operator.entries @ image_units, axis=0), initial=0.0)
-    )
+    image = span((big_fwd @ null_fwd).T, truncation, rank_tol)
+    forward_max = float(np.linalg.norm(inst.operator.entries @ image.frame, 2))
     # S* moves every slot block of a tuple down one coefficient.
-    blocks = samples.reshape(frame.slot_count, cap_fwd, samples.shape[1])
+    blocks = null_fwd.reshape(frame.slot_count, cap_fwd, k_dim)
     shifted = np.zeros_like(blocks)
     shifted[:, :-1] = blocks[:, 1:]
     backshift_max = float(
-        np.max(_clause_violation(clauses_fwd, shifted.reshape(samples.shape)), initial=0.0)
+        np.linalg.norm(clauses_fwd @ shifted.reshape(null_fwd.shape), 2)
     )
-    zero_images = int(np.count_nonzero(~live))
-    if zero_images:
-        notes.append(f"{zero_images} sampled tuples assemble to zero")
+    if k_dim > image.dim:
+        notes.append(f"{k_dim - image.dim} tuple directions assemble to zero")
     reverse_max = 0.0
     constraint_max = 0.0
     norm_err: float | None = 0.0 if frame.isometric else None
     if m.dim:
-        solution, fit, violation = _reverse_fit(
-            frame, m.frame, cap_rev, rank_tol, constraint_tol
-        )
+        solution, fit, violation = _reverse_fit(frame, m.frame, cap_rev, rank_tol)
         reverse_max = float(np.max(fit))
         constraint_max = float(np.max(violation))
         if frame.isometric:
@@ -773,13 +741,12 @@ def check_corollary(
             tuple_sq = np.linalg.norm(solution, axis=0) ** 2
             norm_err = float(np.max(np.abs(target_sq - tuple_sq)))
     audit: float | None = None
-    if image_units.shape[1] and k_dim <= SAMPLE_CAP and m.dim > 0:
-        image_span = span(image_units.T, truncation, rank_tol)
-        if image_span.dim == m.dim:
-            audit = float(principal_angles(image_span, m)[-1])
+    if image.dim and m.dim:
+        if image.dim == m.dim:
+            audit = float(principal_angles(image, m)[-1])
         else:
             notes.append(
-                f"representation image spans {image_span.dim} of {m.dim} "
+                f"representation image spans {image.dim} of {m.dim} "
                 "kernel directions"
             )
     passed = (
@@ -796,7 +763,6 @@ def check_corollary(
         branch=frame.branch,
         kernel_dim=m.dim,
         k_dim_sampled=k_dim,
-        forward_samples=samples.shape[1],
         forward_max_residual=forward_max,
         backshift_max_violation=backshift_max,
         reverse_max_residual=float(reverse_max),
@@ -817,7 +783,6 @@ def verify_corollary(
     rank_tol: float = DEFAULT_RANK_TOL,
     membership_tol: float = MEMBERSHIP_TOL,
     constraint_tol: float = CONSTRAINT_TOL,
-    seed: int = 0,
     frame: CgpFrame | None = None,
 ) -> RepresentationReport:
     """check_corollary on a fresh instance built from raw operator data."""
@@ -826,7 +791,6 @@ def verify_corollary(
         inner_truncation,
         membership_tol,
         constraint_tol,
-        seed,
         frame,
     )
 

@@ -45,13 +45,8 @@ def _load_scenarios(path: str, args: argparse.Namespace) -> list[Scenario]:
     except json.JSONDecodeError as exc:
         raise InputError(f"scenario file is not valid JSON: {exc}") from exc
     scenarios = scenarios_from_json(data)
-    overrides = {}
     if getattr(args, "truncation", None) is not None:
-        overrides["truncation"] = args.truncation
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        scenarios = [dataclasses.replace(s, **overrides) for s in scenarios]
+        scenarios = [dataclasses.replace(s, truncation=args.truncation) for s in scenarios]
     return scenarios
 
 
@@ -175,10 +170,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--truncation", type=int, default=None,
         help="override the truncation order of every scenario in the file",
-    )
-    sub.add_argument(
-        "--seed", type=int, default=None,
-        help="override the sampling seed of every scenario in the file",
     )
     sub.add_argument("--json-out", default=None, help="write the JSON report here")
 

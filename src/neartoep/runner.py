@@ -2,8 +2,8 @@
 
 A scenario bundles a symbol, a finite-rank perturbation, a truncation
 order, and a set of checks.  Everything round-trips through JSON so runs
-are scriptable, and reports contain no wall-clock data so a fixed
-scenario and seed always serializes to identical bytes.
+are scriptable, and reports contain no wall-clock data and draw no random
+numbers, so identical scenario inputs always serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -117,6 +117,7 @@ class Scenario:
     inner_truncation: int = DEFAULT_INNER_TRUNCATION
     tolerances: Tolerances = field(default_factory=Tolerances)
     checks: tuple[str, ...] = VALID_CHECKS
+    # Provenance only: parsed, validated and echoed in reports, read by no check.
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -364,7 +365,6 @@ def run_scenario(scenario: Scenario, stabilize: bool = True) -> ScenarioReport:
                 scenario.inner_truncation,
                 membership_tol=tol.membership,
                 constraint_tol=tol.constraint,
-                seed=scenario.seed,
             )
             outcomes.append(CheckOutcome("cgp", rep.passed, rep.to_json_dict()))
     stability = stability_summary(inst) if stabilize else None

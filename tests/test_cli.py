@@ -188,8 +188,8 @@ def test_cli_run_seed_override_changes_nothing_structural(tmp_path):
     path = write(tmp_path, "scenario.json", basic_scenario_dict())
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
-    assert main(["run", path, "--seed", "11", "--json-out", str(out1)]) == 0
-    assert main(["run", path, "--seed", "11", "--json-out", str(out2)]) == 0
+    assert main(["run", path, "--json-out", str(out1)]) == 0
+    assert main(["run", path, "--json-out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 

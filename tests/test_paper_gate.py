@@ -6,8 +6,10 @@ branch) differs from perfbench/reference.json.  This test runs the
 benchmark's own workload code for one pass of `verify-paper --truncation
 256` and applies both checks.  It also counts the kernel SVDs: the
 defect, representation and stability checks of a row all read the kernel
-of the row's one Instance.  The test reads perfbench/ and writes nothing
-there.
+of the row's one Instance, and it reads the report for two margins: every
+reverse-fit tuple meets its clauses at round-off, and the known-gap row's
+forward residual stays at its full size.  The test reads perfbench/ and
+writes nothing there.
 """
 
 import json
@@ -29,3 +31,8 @@ def test_paper_rows_pass_the_benchmark_gate(monkeypatch, tmp_path):
     assert result.verdicts and all(result.verdicts)
     assert result.skeletons == reference["paper-256"]
     assert len(calls) == KERNEL_SUBSPACE_CALLS
+    rows = json.loads((tmp_path / "verify-paper.json").read_text(encoding="utf-8"))["rows"]
+    reps = {r["row_id"]: r["details"]["representation"]
+            for r in rows if "representation" in r["details"]}
+    assert all(rep["constraint_max_violation"] < 1e-12 for rep in reps.values())
+    assert reps["rep-conj-inner-orthogonal-split-known-gap"]["forward_max_residual"] > 0.99
