@@ -557,8 +557,8 @@ def _r24(n: int, ni: int):
     details["gap_reproduced"] = gap_reproduced
     notes = rep.notes + (
         "final-slot moment vector cannot express the model-membership "
-        "coupling of the last slot, so sampled tuples assemble outside "
-        "the kernel on every instance of this branch",
+        "coupling of the last slot, so the image of the whole clause "
+        "nullspace leaves the kernel on every instance of this branch",
     )
     return gap_reproduced and defect_ok, details, notes
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .blaschke import BlaschkeProduct, blaschke_expand
 from .errors import HypothesisViolationError, InputError
@@ -253,7 +252,7 @@ class Instance:
         q, _ = np.linalg.qr(solutions @ _null_space(system, self.rank_tol))
         dim = q.shape[1]
         tail = float(np.linalg.norm(q[cap:], 2)) if dim else 0.0
-        window = scipy.linalg.qr(q[:cap], mode="full")[0]
+        window = np.linalg.qr(q[:cap], mode="complete")[0]
         frame = np.zeros((n, dim), dtype=np.complex128)
         frame[:cap] = window[:, :dim]
         return Subspace(frame, n, self.rank_tol, complement=window[:, dim:]), tail

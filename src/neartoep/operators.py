@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .blaschke import BlaschkeProduct, blaschke_expand
 from .errors import HypothesisViolationError, InputError
@@ -255,9 +255,10 @@ class OperatorMatrix:
 def toeplitz_matrix(g: LaurentSeries) -> OperatorMatrix:
     """Matrix with entry (j, k) equal to the Fourier coefficient of g at j - k."""
     n = g.truncation
-    col = g.coeffs[n : 2 * n]            # indices 0..n-1
-    row = g.coeffs[n : 0 : -1][:n]       # indices 0, -1, ..., -(n-1)
-    return OperatorMatrix(scipy.linalg.toeplitz(col, row), n)
+    # Row j of the windows over indices -(n-1)..n-1 holds indices j-(n-1)..j;
+    # reversed it is j, j-1, ..., j-(n-1).
+    windows = sliding_window_view(g.coeffs[1 : 2 * n], n)
+    return OperatorMatrix(np.ascontiguousarray(windows[:, ::-1]), n)
 
 
 def perturbed_matrix(base: OperatorMatrix, pert: PerturbationSpec) -> OperatorMatrix:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConditioningError, InputError
 from .operators import OperatorMatrix
@@ -42,16 +41,19 @@ def _right_svd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and right singular subspaces are unchanged, and the values they remove
     are exact zeros, which pad s back to one value per column.  A block
     that keeps at least twice as many rows as columns is reduced to its R
-    factor first (Chan, ACM TOMS 8(1), 1982), and no Q is formed.  A block
-    with fewer rows than columns takes the full vh, whose trailing rows
-    span the rest of the null space.
+    factor first (Chan, ACM TOMS 8(1), 1982), and no Q is formed; a
+    non-finite entry there raises ValueError.  A block with fewer rows
+    than columns takes the full vh, whose trailing rows span the rest of
+    the null space.
     """
     keep = mat.any(axis=1)
     if not keep.all():
         mat = mat[keep]
     rows, cols = mat.shape
     if rows >= 2 * cols:
-        mat = scipy.linalg.qr(mat, mode="r")[0][:cols]
+        if not np.isfinite(mat).all():
+            raise ValueError("array must not contain infs or NaNs")
+        mat = np.linalg.qr(mat, mode="r")
     _, s, vh = np.linalg.svd(mat, full_matrices=rows < cols)
     return np.pad(s, (0, cols - s.size)), vh
 
@@ -75,7 +77,10 @@ class Subspace:
         if arr.ndim != 2 or arr.shape[0] != self.truncation:
             raise InputError(f"frame shape {arr.shape} disagrees with truncation")
         if arr.shape[1]:
-            gram = arr.conj().T @ arr
+            # Rows past the last nonzero one add exact zeros to the Gram matrix.
+            nonzero = np.flatnonzero(arr.any(axis=1))
+            used = arr[: nonzero[-1] + 1 if nonzero.size else 0]
+            gram = used.conj().T @ used
             if np.max(np.abs(gram - np.eye(arr.shape[1]))) > 1e-10:
                 raise InputError("frame columns are not orthonormal")
         arr.setflags(write=False)
@@ -277,7 +282,9 @@ def complement_within(ambient: Subspace, removed: Subspace) -> Subspace:
         inside = np.linalg.norm(coords[:, j])
         if abs(inside - 1.0) > 1e-8:
             raise InputError("removed subspace does not lie inside the ambient one")
-    keep = scipy.linalg.null_space(coords.conj().T)
+    _, s, vh = np.linalg.svd(coords.conj().T, full_matrices=True)
+    rank = int(np.sum(s > s.max(initial=0.0) * np.finfo(float).eps * max(coords.shape)))
+    keep = vh[rank:].conj().T
     return Subspace(
         _fix_phases(ambient.frame @ keep), ambient.truncation, ambient.rank_tol
     )

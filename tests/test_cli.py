@@ -2,17 +2,27 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import count_calls, linalg_calls, seeded_perturbation
+from conftest import count_calls, disk_invertible_poly, linalg_calls, seeded_perturbation
 from neartoep import subspaces
 from neartoep.blaschke import BlaschkeProduct, blaschke_expand
 from neartoep.cli import main
 from neartoep.defects import Instance
 from neartoep.errors import HeadroomError, InputError
-from neartoep.operators import ConjInnerSymbol, InnerSymbol, PerturbationSpec, ZeroSymbol
+from neartoep.operators import (
+    ConjInnerSymbol,
+    InnerSymbol,
+    InvertibleProductSymbol,
+    PerturbationSpec,
+    ZeroSymbol,
+)
 from neartoep.runner import (
     Scenario,
     Tolerances,
@@ -182,6 +192,48 @@ def test_cli_run_passes_and_report_is_byte_identical(tmp_path, capsys):
     assert payload["scenarios"][0]["stability"]["stable_at_double"] is True
     checks = [o["check"] for o in payload["scenarios"][0]["outcomes"]]
     assert checks == ["kernel", "defect", "witness", "cgp"]
+
+
+# `neartoep run` in a fresh interpreter where every import of scipy fails.
+NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None
+import neartoep
+from neartoep import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_cli_run_needs_no_scipy(tmp_path):
+    rng = np.random.default_rng(64)
+    symbols = (
+        ZeroSymbol(),
+        InnerSymbol(BlaschkeProduct.from_points([0.3, -0.2j])),
+        InvertibleProductSymbol(disk_invertible_poly(rng, N), disk_invertible_poly(rng, N)),
+        ConjInnerSymbol(BlaschkeProduct.from_points([0.4], z_power=1)),
+    )
+    suite = {
+        "scenarios": [
+            Scenario(
+                sym, seeded_perturbation(rng, N, 1, 3), sym.tag, N,
+                checks=("kernel", "defect", "witness"),
+            ).to_json_dict()
+            for sym in symbols
+        ]
+    }
+    path = write(tmp_path, "suite.json", suite)
+    isolated = tmp_path / "isolated.json"
+    in_process = tmp_path / "in_process.json"
+    src = Path(subspaces.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, "run", path, "--json-out", str(isolated)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert main(["run", path, "--json-out", str(in_process)]) == 0
+    assert isolated.read_bytes() == in_process.read_bytes()
 
 
 def test_cli_run_seed_override_changes_nothing_structural(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from neartoep.errors import HypothesisViolationError, InputError, NotInvertibleError
 from neartoep.operators import (
@@ -37,6 +38,16 @@ def test_toeplitz_entries_follow_diagonals():
     for j in range(6):
         for k in range(6):
             assert t[j, k] == g.at(j - k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
+def test_toeplitz_matrix_matches_scipy_toeplitz_exactly(n):
+    rng = np.random.default_rng(n)
+    coeffs = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
+    g = LaurentSeries(coeffs, n)
+    col = coeffs[n : 2 * n]
+    row = coeffs[n:0:-1]
+    assert np.array_equal(toeplitz_matrix(g).entries, scipy.linalg.toeplitz(col, row))
 
 
 def test_adjoint_is_conjugate_symbol_exactly():

@@ -14,6 +14,7 @@ from neartoep.operators import ConjInnerSymbol, InnerSymbol, OperatorMatrix, Zer
 from neartoep.series import AnalyticSeries
 from neartoep.subspaces import (
     Subspace,
+    _right_svd,
     complement_within,
     contains,
     direct_sum,
@@ -296,6 +297,82 @@ def test_complement_and_direct_sum_identities():
     outside = span([AnalyticSeries.from_coeffs([0, 0, 0, 1.0], n)], n)
     with pytest.raises(InputError):
         complement_within(ambient, outside)
+
+
+def _random_frame(rng, n, d):
+    q, _ = np.linalg.qr(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+    return q
+
+
+@pytest.mark.parametrize(
+    "removed_vectors, directions",
+    [
+        (1, 1),  # a generic line
+        (3, 3),  # three independent directions
+        (4, 3),  # rank-deficient: four mixes of three directions
+        (5, 5),  # the whole ambient space: empty complement
+    ],
+)
+def test_complement_within_matches_scipy_null_space(removed_vectors, directions):
+    rng = np.random.default_rng(41 + removed_vectors)
+    n, d = 24, 5
+    ambient = Subspace(_random_frame(rng, n, d), n)
+    mixes = rng.standard_normal((directions, removed_vectors))
+    coords = _random_frame(rng, d, directions) @ mixes
+    removed = span((ambient.frame @ coords).T, n)
+    assert removed.dim == directions
+    rest = complement_within(ambient, removed)
+    oracle = scipy.linalg.null_space((ambient.frame.conj().T @ removed.frame).conj().T)
+    assert rest.dim == oracle.shape[1] == d - directions
+    if rest.dim:
+        reference = Subspace(ambient.frame @ oracle, n)
+        assert float(principal_angles(rest, reference).max()) < 1e-12
+
+
+@pytest.mark.parametrize("zero_rows", [0, 7])
+def test_right_svd_of_a_tall_block_matches_the_scipy_qr_route(zero_rows):
+    rng = np.random.default_rng(9)
+    rows, cols = 40, 12
+    mat = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    mat[rows - zero_rows :] = 0.0
+    s, vh = _right_svd(mat)
+    kept = mat[: rows - zero_rows]
+    reference = np.linalg.svd(
+        scipy.linalg.qr(kept, mode="r")[0][:cols], compute_uv=False
+    )
+    assert s.shape == (cols,) and vh.shape == (cols, cols)
+    assert np.max(np.abs(s - reference)) < 1e-12 * reference[0]
+
+
+def test_right_svd_rejects_a_non_finite_tall_block():
+    mat = np.ones((8, 3), dtype=np.complex128)
+    mat[5, 1] = np.nan
+    with pytest.raises(ValueError):
+        _right_svd(mat)
+
+
+def test_subspace_rejects_non_orthonormal_columns():
+    frame = np.zeros((6, 2), dtype=np.complex128)
+    frame[0, 0] = frame[0, 1] = frame[1, 1] = 1.0
+    with pytest.raises(InputError, match="orthonormal"):
+        Subspace(frame, 6)
+
+
+def test_subspace_rejects_an_all_zero_column():
+    frame = np.zeros((6, 2), dtype=np.complex128)
+    frame[2, 0] = 1.0
+    with pytest.raises(InputError, match="orthonormal"):
+        Subspace(frame, 6)
+
+
+def test_subspace_check_reads_the_last_nonzero_row():
+    frame = np.zeros((8, 2), dtype=np.complex128)
+    frame[0, 0] = frame[1, 1] = 1.0
+    assert Subspace(frame.copy(), 8).dim == 2
+    # rows 5.. stay zero; the only defect sits in row 4
+    frame[4] = 0.1
+    with pytest.raises(InputError, match="orthonormal"):
+        Subspace(frame, 8)
 
 
 def _diagonal_kernel(n, kernel_degrees, column_cap=None):
