@@ -14,7 +14,6 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, blaschke_expand
 from .cgp import (
-    DEFAULT_INNER_TRUNCATION,
     CgpFrame,
     RepresentationReport,
     build_monomial_split_frame,
@@ -123,9 +122,9 @@ def _defect_details(inst: Instance) -> tuple[bool, dict]:
 
 
 def _representation_details(
-    inst: Instance, ni: int, frame: CgpFrame | None = None
+    inst: Instance, frame: CgpFrame | None = None
 ) -> tuple[RepresentationReport, dict]:
-    rep = check_corollary(inst, ni, frame=frame)
+    rep = check_corollary(inst, frame=frame)
     details = {
         "representation": rep.to_json_dict(),
         "stability": stability_summary(inst),
@@ -133,8 +132,8 @@ def _representation_details(
     return rep, details
 
 
-def _rep_row(sym, pert, n, ni) -> tuple[bool, dict, tuple]:
-    rep, details = _representation_details(Instance(sym, pert, n), ni)
+def _rep_row(sym, pert, n) -> tuple[bool, dict, tuple]:
+    rep, details = _representation_details(Instance(sym, pert, n))
     ok = rep.passed and details["stability"]["stable_at_double"]
     return ok, details, rep.notes
 
@@ -172,7 +171,7 @@ def _rank_two_vs(n: int) -> tuple[AnalyticSeries, AnalyticSeries]:
     "nearly backward-shift invariant with defect 1 inside the span of the "
     "pairing direction.",
 )
-def _r1(n: int, ni: int):
+def _r1(n: int):
     u = _unit(_poly([1.0, 0.5, -0.25, 0.2, 0.1], n))
     v = _poly([0.4, -0.3, 0.2, 0.12, -0.05, 0.03], n)
     return _defect_details(Instance(ZeroSymbol(), PerturbationSpec(((u, v),)), n))
@@ -183,7 +182,7 @@ def _r1(n: int, ni: int):
     "A rank-two annihilator perturbation has defect at most 2 with the "
     "residuals confined to the span of the two pairing directions.",
 )
-def _r2(n: int, ni: int):
+def _r2(n: int):
     u1, u2 = _rank_two_us(n)
     v1, v2 = _rank_two_vs(n)
     return _defect_details(
@@ -196,7 +195,7 @@ def _r2(n: int, ni: int):
     "A rank-three annihilator perturbation has defect at most 3 with the "
     "residuals confined to the span of the three pairing directions.",
 )
-def _r3(n: int, ni: int):
+def _r3(n: int):
     u1, u2 = _rank_two_us(n)
     u3 = _orth_against(_poly([0.0, 0.2, 1.0, 0.25, -0.1], n), u1, u2)
     v1, v2 = _rank_two_vs(n)
@@ -213,7 +212,7 @@ def _r3(n: int, ni: int):
     "backward-shift invariant with defect at most the rank, residuals "
     "inside the span of the co-analytically shifted replacement vectors.",
 )
-def _r4(n: int, ni: int):
+def _r4(n: int):
     u1, u2 = _rank_two_us(n)
     v1, v2 = _rank_two_vs(n)
     sym = InnerSymbol(BlaschkeProduct(z_power=3))
@@ -225,7 +224,7 @@ def _r4(n: int, ni: int):
     "For a finite Blaschke multiplier the perturbed kernel keeps defect at "
     "most the rank with the predicted replacement span.",
 )
-def _r5(n: int, ni: int):
+def _r5(n: int):
     u1, u2 = _rank_two_us(n)
     v1, v2 = _rank_two_vs(n)
     sym = InnerSymbol(BlaschkeProduct.from_points([0.3, -0.2, 0.15]))
@@ -237,7 +236,7 @@ def _r5(n: int, ni: int):
     "For the monomial multiplier z^m the replacement span collapses to the "
     "(m+1)-fold backshifts of the v vectors.",
 )
-def _r6(n: int, ni: int):
+def _r6(n: int):
     m_pow = 2
     u1, u2 = _rank_two_us(n)
     v1, v2 = _rank_two_vs(n)
@@ -268,7 +267,7 @@ def _r6(n: int, ni: int):
     "invertible factor the defect stays at most the rank, residuals inside "
     "the doubly solved backshift images of the v vectors.",
 )
-def _r7(n: int, ni: int):
+def _r7(n: int):
     sym = InvertibleProductSymbol(_poly([1.0, 1 / 3], n), _poly([1.0, -0.25], n))
     u = _unit(_poly([0.6, -0.2, 0.3, 0.1, -0.05], n))
     v = _poly([0.4, 0.2, -0.3, 0.15], n)
@@ -280,7 +279,7 @@ def _r7(n: int, ni: int):
     "The invertible-product defect bound holds at rank two with quadratic "
     "factors.",
 )
-def _r8(n: int, ni: int):
+def _r8(n: int):
     sym = InvertibleProductSymbol(
         _poly([1.0, 0.2, -0.15], n), _poly([1.0, -0.3, 0.1], n)
     )
@@ -296,7 +295,7 @@ def _r8(n: int, ni: int):
     "When every perturbation direction is divisible by the inner function, "
     "the conjugate-inner defect bound is the bare rank.",
 )
-def _r9(n: int, ni: int):
+def _r9(n: int):
     th = _conj_pair_symbol()
     th_exp = blaschke_expand(th, n)
     u1 = _unit(multiply_analytic(th_exp, _poly([1.0, 0.4], n)))
@@ -316,7 +315,7 @@ def _r9(n: int, ni: int):
     "A direction with a nonzero model-space component raises the "
     "conjugate-inner defect bound by one.",
 )
-def _r10(n: int, ni: int):
+def _r10(n: int):
     th = _conj_pair_symbol()
     th_exp = blaschke_expand(th, n)
     u2 = _unit(multiply_analytic(th_exp, _poly([0.5, 1.0], n)))
@@ -336,10 +335,10 @@ def _r10(n: int, ni: int):
     "The hyperplane kernel of a rank-one annihilator perturbation is "
     "reproduced bidirectionally by its two-slot coefficient system.",
 )
-def _r11(n: int, ni: int):
+def _r11(n: int):
     u = _unit(_poly([1.0, 0.5, -0.25, 0.2], n))
     v = _poly([0.3, -0.4, 0.25, 0.1, 0.05], n)
-    return _rep_row(ZeroSymbol(), PerturbationSpec(((u, v),)), n, ni)
+    return _rep_row(ZeroSymbol(), PerturbationSpec(((u, v),)), n)
 
 
 @_row(
@@ -347,10 +346,10 @@ def _r11(n: int, ni: int):
     "Pairing against the constant direction leaves the shifted full space, "
     "represented isometrically by a single free slot.",
 )
-def _r12(n: int, ni: int):
+def _r12(n: int):
     u = _poly([1.0], n)
     v = _poly([0.3, -0.4, 0.25], n)
-    return _rep_row(ZeroSymbol(), PerturbationSpec(((u, v),)), n, ni)
+    return _rep_row(ZeroSymbol(), PerturbationSpec(((u, v),)), n)
 
 
 @_row(
@@ -358,10 +357,10 @@ def _r12(n: int, ni: int):
     "Pairing against an inner direction splits the kernel into a model "
     "space plus a shifted multiple of the direction.",
 )
-def _r13(n: int, ni: int):
+def _r13(n: int):
     u = blaschke_expand(_inner_pair_symbol(), n)
     v = _poly([0.2, 0.4, -0.3, 0.1], n)
-    return _rep_row(ZeroSymbol(), PerturbationSpec(((u, v),)), n, ni)
+    return _rep_row(ZeroSymbol(), PerturbationSpec(((u, v),)), n)
 
 
 @_row(
@@ -369,10 +368,10 @@ def _r13(n: int, ni: int):
     "Pairing against a normalized reproducing kernel pins the kernel to "
     "functions vanishing at the sample point.",
 )
-def _r14(n: int, ni: int):
+def _r14(n: int):
     u = reproducing_kernel(0.5, n, normalized=True)
     v = _poly([0.35, -0.2, 0.15, 0.1], n)
-    return _rep_row(ZeroSymbol(), PerturbationSpec(((u, v),)), n, ni)
+    return _rep_row(ZeroSymbol(), PerturbationSpec(((u, v),)), n)
 
 
 @_row(
@@ -380,10 +379,10 @@ def _r14(n: int, ni: int):
     "Pairing against the normalized binomial direction produces the "
     "closed-form slot vectors of the binomial family.",
 )
-def _r15(n: int, ni: int):
+def _r15(n: int):
     u = _poly([1 / np.sqrt(2.0), 0.0, 1 / np.sqrt(2.0)], n)
     v = _poly([0.3, 0.2, -0.4, 0.15], n)
-    return _rep_row(ZeroSymbol(), PerturbationSpec(((u, v),)), n, ni)
+    return _rep_row(ZeroSymbol(), PerturbationSpec(((u, v),)), n)
 
 
 # --------------------------------------------- multiplier representation
@@ -404,9 +403,9 @@ def _inner_line_instance(n: int, head: Sequence[complex]):
     "A multiplier-symbol kernel line with nonvanishing solved mean is "
     "represented by a single constrained slot.",
 )
-def _r16(n: int, ni: int):
+def _r16(n: int):
     sym, pert = _inner_line_instance(n, [1.0, 0.5, 0.2])
-    return _rep_row(sym, pert, n, ni)
+    return _rep_row(sym, pert, n)
 
 
 @_row(
@@ -414,9 +413,9 @@ def _r16(n: int, ni: int):
     "A multiplier-symbol kernel line whose solved vector vanishes at the "
     "origin lands in the shifted branch of the representation.",
 )
-def _r17(n: int, ni: int):
+def _r17(n: int):
     sym, pert = _inner_line_instance(n, [0.0, 1.0, 1 / 3])
-    return _rep_row(sym, pert, n, ni)
+    return _rep_row(sym, pert, n)
 
 
 def _invertible_line_instance(n: int, zero_mean: bool):
@@ -444,9 +443,9 @@ def _invertible_line_instance(n: int, zero_mean: bool):
     "An invertible-product kernel line with nonvanishing leading pairing "
     "is represented by a single constrained slot.",
 )
-def _r18(n: int, ni: int):
+def _r18(n: int):
     sym, pert = _invertible_line_instance(n, zero_mean=False)
-    return _rep_row(sym, pert, n, ni)
+    return _rep_row(sym, pert, n)
 
 
 @_row(
@@ -454,9 +453,9 @@ def _r18(n: int, ni: int):
     "An invertible-product kernel line with vanishing leading pairing "
     "lands in the shifted branch of the representation.",
 )
-def _r19(n: int, ni: int):
+def _r19(n: int):
     sym, pert = _invertible_line_instance(n, zero_mean=True)
-    return _rep_row(sym, pert, n, ni)
+    return _rep_row(sym, pert, n)
 
 
 # ---------------------------------------- conjugate-inner representation
@@ -466,12 +465,12 @@ def _r19(n: int, ni: int):
     "With every direction divisible by the inner function and a nonzero "
     "selector, the kernel is exactly the model space.",
 )
-def _r20(n: int, ni: int):
+def _r20(n: int):
     th = _conj_pair_symbol()
     th_exp = blaschke_expand(th, n)
     u = _unit(multiply_analytic(th_exp, _poly([1.0, 0.4, -0.2], n)))
     v = _poly([0.5, 0.2, -0.3, 0.1], n)
-    return _rep_row(ConjInnerSymbol(th), PerturbationSpec(((u, v),)), n, ni)
+    return _rep_row(ConjInnerSymbol(th), PerturbationSpec(((u, v),)), n)
 
 
 def _extended_model_instance(n: int):
@@ -489,9 +488,9 @@ def _extended_model_instance(n: int):
     "With a vanishing selector the kernel extends the model space by the "
     "multiplied direction.",
 )
-def _r21(n: int, ni: int):
+def _r21(n: int):
     sym, pert = _extended_model_instance(n)
-    return _rep_row(sym, pert, n, ni)
+    return _rep_row(sym, pert, n)
 
 
 def _split_instance(n: int, th: BlaschkeProduct, tail: Sequence[complex]):
@@ -516,9 +515,9 @@ def _split_instance(n: int, th: BlaschkeProduct, tail: Sequence[complex]):
     "backshifted inner function verifies the three-slot system in both "
     "directions.",
 )
-def _r22(n: int, ni: int):
+def _r22(n: int):
     sym, pert = _split_instance(n, BlaschkeProduct(z_power=2), [0.5, -0.25, 0.2])
-    return _rep_row(sym, pert, n, ni)
+    return _rep_row(sym, pert, n)
 
 
 @_row(
@@ -527,10 +526,10 @@ def _r22(n: int, ni: int):
     "when the model part of the direction follows the backshifted inner "
     "function.",
 )
-def _r23(n: int, ni: int):
+def _r23(n: int):
     th = BlaschkeProduct.from_points([0.4], z_power=2)
     sym, pert = _split_instance(n, th, [0.3, 0.2, -0.1])
-    return _rep_row(sym, pert, n, ni)
+    return _rep_row(sym, pert, n)
 
 
 @_row(
@@ -539,7 +538,7 @@ def _r23(n: int, ni: int):
     "under-determines the coefficient space; this row certifies that the "
     "documented discrepancy reproduces while the defect prediction holds.",
 )
-def _r24(n: int, ni: int):
+def _r24(n: int):
     th = BlaschkeProduct(z_power=3)
     th_exp = blaschke_expand(th, n)
     s = _poly([0.0, 1.0, 0.5], n)
@@ -550,7 +549,7 @@ def _r24(n: int, ni: int):
     u1 = _unit(_poly([0.0, 1.0, 0.5], n)) * np.sqrt(rem)
     pert = PerturbationSpec(((u1 + u_theta, v),))
     inst = Instance(ConjInnerSymbol(th), pert, n)
-    rep, details = _representation_details(inst, ni)
+    rep, details = _representation_details(inst)
     defect_ok, defect_details = _defect_details(inst)
     details.update(defect_details)
     gap_reproduced = (not rep.passed) and rep.forward_max_residual > GAP_FLOOR
@@ -570,7 +569,7 @@ def _r24(n: int, ni: int):
     "Projecting the constant onto the model space minus one removed "
     "direction matches the closed reproducing-kernel formula.",
 )
-def _r25(n: int, ni: int):
+def _r25(n: int):
     worst = 0.0
     for th, coeffs, mu in (
         (_inner_pair_symbol(), [0.7 + 0.2j, -0.4 + 0.5j], 0.3 - 0.8j),
@@ -597,11 +596,11 @@ def _monomial_split_instance(n: int, m_pow: int):
     return ConjInnerSymbol(BlaschkeProduct(z_power=m_pow)), PerturbationSpec(((u, v),))
 
 
-def _monomial_split_row(n: int, ni: int, m_pow: int):
+def _monomial_split_row(n: int, m_pow: int):
     sym, pert = _monomial_split_instance(n, m_pow)
     inst = Instance(sym, pert, n)
-    frame = build_monomial_split_frame(m_pow, inst.perturbation, n, ni)
-    rep, details = _representation_details(inst, ni, frame)
+    frame = build_monomial_split_frame(m_pow, inst.perturbation, n)
+    rep, details = _representation_details(inst, frame)
     expected = monomial_split_expected_kernel(m_pow, inst.perturbation, n)
     computed = inst.kernel
     if expected.dim != computed.dim:
@@ -618,8 +617,8 @@ def _monomial_split_row(n: int, ni: int, m_pow: int):
     "Over the plain shift the kernel matches the displayed span formula "
     "and the power-indexed slot system verifies in both directions.",
 )
-def _r26(n: int, ni: int):
-    return _monomial_split_row(n, ni, 1)
+def _r26(n: int):
+    return _monomial_split_row(n, 1)
 
 
 @_row(
@@ -627,8 +626,8 @@ def _r26(n: int, ni: int):
     "Over the squared shift the kernel matches the displayed span formula "
     "and the power-indexed slot system verifies in both directions.",
 )
-def _r27(n: int, ni: int):
-    return _monomial_split_row(n, ni, 2)
+def _r27(n: int):
+    return _monomial_split_row(n, 2)
 
 
 @_row(
@@ -636,16 +635,13 @@ def _r27(n: int, ni: int):
     "Over the cubed shift the kernel matches the displayed span formula "
     "and the power-indexed slot system verifies in both directions.",
 )
-def _r28(n: int, ni: int):
-    return _monomial_split_row(n, ni, 3)
+def _r28(n: int):
+    return _monomial_split_row(n, 3)
 
 
 # ------------------------------------------------------------- driver
 
-def run_catalogue(
-    truncation: int = DEFAULT_TRUNCATION,
-    inner_truncation: int = DEFAULT_INNER_TRUNCATION,
-) -> tuple[RowResult, ...]:
+def run_catalogue(truncation: int = DEFAULT_TRUNCATION) -> tuple[RowResult, ...]:
     """Evaluate every catalogue row at the given truncation order."""
     if truncation < MIN_CATALOGUE_TRUNCATION:
         raise InputError(
@@ -654,7 +650,7 @@ def run_catalogue(
         )
     results = []
     for row_id, claim, fn in _ROWS:
-        out = fn(truncation, inner_truncation)
+        out = fn(truncation)
         if len(out) == 2:
             passed, details = out
             notes: tuple[str, ...] = ()

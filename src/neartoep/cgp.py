@@ -4,11 +4,11 @@ Each supported symbol class admits a representation of the kernel as
 f = sum_j A_j k_j with the coefficient tuple (k_0, ..., k_m) ranging over
 the nullspace of a small family of linear clauses.  This module builds the
 slot maps A_j and the clause family for every branch and verifies both
-directions against the computed kernel through one object, the clause
-nullspace T: the image of all of T must lie in the kernel and T must be
-S*-invariant, and every kernel basis vector must be the image of a tuple in
-T, found by one least-squares solve on T.  A tuple is always one stacked
-column, slot blocks one above the other.
+directions against the computed kernel on the clause nullspace T, taken
+at a column cap per direction: the image of all of T must lie in the
+kernel and T must be S*-invariant, and every kernel basis vector must be
+the image of a tuple in T, found by one least-squares solve on T.  A tuple
+is always one stacked column, slot blocks one above the other.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .subspaces import (
     direct_sum,
     principal_angles,
     project,
+    rank_cut,
     span,
 )
 
@@ -70,7 +71,8 @@ INNER_MODULUS_TOL = 1e-8
 # Kernel-membership residual and clause violation counting as zero.
 MEMBERSHIP_TOL = 1e-8
 CONSTRAINT_TOL = 1e-8
-DEFAULT_INNER_TRUNCATION = 48
+# Rows of every moment clause: <k_j, z^n v_j> summed over slots, n < MOMENT_DEPTH.
+MOMENT_DEPTH = 48
 _PAD_TOL = 1e-12
 
 
@@ -248,9 +250,7 @@ def _trivial_frame(case_tag: str, truncation: int, reason: str) -> CgpFrame:
     )
 
 
-def _zero_symbol_frame(
-    pert: PerturbationSpec, truncation: int, inner_truncation: int
-) -> CgpFrame:
+def _zero_symbol_frame(pert: PerturbationSpec, truncation: int) -> CgpFrame:
     u, _ = _single_term(pert)
     one = AnalyticSeries.one(truncation)
     f0 = one - np.conj(u.coeffs[0]) * u
@@ -263,7 +263,7 @@ def _zero_symbol_frame(
             branch="vanishing-projection",
             truncation=truncation,
             slot_maps=(a_shift_u,),
-            clauses=(ip_family_clause([v1], inner_truncation),),
+            clauses=(ip_family_clause([v1], MOMENT_DEPTH),),
             f0=AnalyticSeries.zero(truncation),
             constraint_vectors=(("v1", v1),),
             isometric=is_numerically_inner(u),
@@ -273,7 +273,7 @@ def _zero_symbol_frame(
         branch="full",
         truncation=truncation,
         slot_maps=(mult_matrix(f0), a_shift_u),
-        clauses=(ip_family_clause([v0, v1], inner_truncation),),
+        clauses=(ip_family_clause([v0, v1], MOMENT_DEPTH),),
         f0=f0,
         constraint_vectors=(("v0", v0), ("v1", v1)),
     )
@@ -346,7 +346,7 @@ def _invertible_frame(inst: Instance) -> CgpFrame:
     return _kernel_line_frame("invertible-line", q, inst.f1_inv, c, inst.truncation)
 
 
-def _conj_inner_frame(inst: Instance, inner_truncation: int) -> CgpFrame:
+def _conj_inner_frame(inst: Instance) -> CgpFrame:
     u, v = _single_term(inst.perturbation)
     truncation = inst.truncation
     one = AnalyticSeries.one(truncation)
@@ -422,7 +422,7 @@ def _conj_inner_frame(inst: Instance, inner_truncation: int) -> CgpFrame:
                     value_factors
                     + [AnalyticSeries.monomial(1, truncation, -np.conj(wt) / nu1)]
                 ),
-                ip_family_clause([v0, v1, v2], inner_truncation),
+                ip_family_clause([v0, v1, v2], MOMENT_DEPTH),
             ),
             f0=f0,
             constraint_vectors=(("v0", v0), ("v1", v1), ("v2", v2)),
@@ -444,7 +444,7 @@ def _conj_inner_frame(inst: Instance, inner_truncation: int) -> CgpFrame:
         clauses=(
             membership,
             constant_value_clause(value_factors + [None]),
-            ip_family_clause([v0, None, v2], inner_truncation),
+            ip_family_clause([v0, None, v2], MOMENT_DEPTH),
         ),
         f0=f0,
         constraint_vectors=(("v0", v0), ("v2", v2)),
@@ -452,26 +452,21 @@ def _conj_inner_frame(inst: Instance, inner_truncation: int) -> CgpFrame:
     )
 
 
-def build_cgp_frame(
-    sym: Symbol,
-    pert: PerturbationSpec,
-    truncation: int,
-    inner_truncation: int = DEFAULT_INNER_TRUNCATION,
-) -> CgpFrame:
+def build_cgp_frame(sym: Symbol, pert: PerturbationSpec, truncation: int) -> CgpFrame:
     """Representation frame for the kernel of the perturbed operator."""
-    return _instance_frame(Instance(sym, pert, truncation), inner_truncation)
+    return _instance_frame(Instance(sym, pert, truncation))
 
 
-def _instance_frame(inst: Instance, inner_truncation: int) -> CgpFrame:
+def _instance_frame(inst: Instance) -> CgpFrame:
     sym = inst.symbol
     if isinstance(sym, ZeroSymbol):
-        return _zero_symbol_frame(inst.perturbation, inst.truncation, inner_truncation)
+        return _zero_symbol_frame(inst.perturbation, inst.truncation)
     if isinstance(sym, InnerSymbol):
         return _inner_frame(inst)
     if isinstance(sym, InvertibleProductSymbol):
         return _invertible_frame(inst)
     if isinstance(sym, ConjInnerSymbol):
-        return _conj_inner_frame(inst, inner_truncation)
+        return _conj_inner_frame(inst)
     raise InputError(
         f"no kernel representation for symbol class {type(sym).__name__!r}"
     )
@@ -492,10 +487,7 @@ def _monomial_split_setup(power: int, pert: PerturbationSpec, truncation: int):
 
 
 def build_monomial_split_frame(
-    power: int,
-    pert: PerturbationSpec,
-    truncation: int,
-    inner_truncation: int = DEFAULT_INNER_TRUNCATION,
+    power: int, pert: PerturbationSpec, truncation: int
 ) -> CgpFrame:
     """The worked monomial instance of the split branch, built verbatim.
 
@@ -537,7 +529,7 @@ def build_monomial_split_frame(
             constant_value_clause(
                 [None, one * (1.0 / nsv), AnalyticSeries.monomial(1, truncation, -4.0 * np.conj(wt))]
             ),
-            ip_family_clause([v0, v1, None], inner_truncation),
+            ip_family_clause([v0, v1, None], MOMENT_DEPTH),
         ),
         f0=AnalyticSeries.zero(truncation),
         constraint_vectors=(("v0", v0), ("v1", v1)),
@@ -581,8 +573,7 @@ def _nullspace(matrix: np.ndarray, rank_tol: float) -> np.ndarray:
     svals, vh = _right_svd(matrix)
     if svals.size == 0 or svals[0] == 0.0:
         return np.eye(cols, dtype=np.complex128)
-    rank = int(np.sum(svals > rank_tol * svals[0]))
-    basis = vh.conj().T[:, rank:]
+    basis = vh.conj().T[:, rank_cut(svals, rank_tol) :]
     return _fix_phases(basis)
 
 
@@ -661,7 +652,7 @@ class RepresentationReport:
 
 def check_corollary(
     inst: Instance,
-    inner_truncation: int = DEFAULT_INNER_TRUNCATION,
+    *,
     membership_tol: float = MEMBERSHIP_TOL,
     constraint_tol: float = CONSTRAINT_TOL,
     frame: CgpFrame | None = None,
@@ -672,13 +663,16 @@ def check_corollary(
     truncation // 2, which keeps band-cutoff artifacts out of the comparison.
     frame defaults to the instance's own representation frame; pass one to
     check another representation of the same kernel.  Coefficient tuples
-    are stacked slot blocks throughout, one column per tuple.
+    are stacked slot blocks throughout, one column per tuple.  The forward
+    direction reads tuples on [0, min(MOMENT_DEPTH, N - pad)), the reverse
+    fit on [0, min(N - pad, max(MOMENT_DEPTH, N // 2))), each with its own
+    nullspace SVD; the moment rows stop at MOMENT_DEPTH in both.
     """
     truncation = inst.truncation
     rank_tol = inst.rank_tol
     m = inst.kernel
     if frame is None:
-        frame = _instance_frame(inst, inner_truncation)
+        frame = _instance_frame(inst)
     notes = list(frame.notes)
     if frame.expected_trivial:
         passed = m.dim == 0
@@ -704,12 +698,12 @@ def check_corollary(
         _, f0_resid = contains(m, frame.f0, membership_tol)
     # Forward tuples may use any support that keeps the assembled series
     # in-band; the interior column cap only governs kernel extraction.
-    cap_fwd = min(inner_truncation, truncation - frame.degree_pad)
+    cap_fwd = min(MOMENT_DEPTH, truncation - frame.degree_pad)
     if cap_fwd < 2:
         raise HeadroomError(
             "column cap leaves no room for forward coefficient support"
         )
-    cap_rev = min(truncation - frame.degree_pad, max(inner_truncation, inst.column_cap))
+    cap_rev = min(truncation - frame.degree_pad, max(MOMENT_DEPTH, inst.column_cap))
     # Forward: the image of the whole tuple space must lie in ker R, and the
     # tuple space must be S*-invariant; both are 2-norms over orthonormal
     # frames, so neither depends on the nullspace basis.  The operator
@@ -779,7 +773,7 @@ def verify_corollary(
     sym: Symbol,
     pert: PerturbationSpec,
     truncation: int,
-    inner_truncation: int = DEFAULT_INNER_TRUNCATION,
+    *,
     rank_tol: float = DEFAULT_RANK_TOL,
     membership_tol: float = MEMBERSHIP_TOL,
     constraint_tol: float = CONSTRAINT_TOL,
@@ -788,10 +782,9 @@ def verify_corollary(
     """check_corollary on a fresh instance built from raw operator data."""
     return check_corollary(
         Instance(sym, pert, truncation, rank_tol),
-        inner_truncation,
-        membership_tol,
-        constraint_tol,
-        frame,
+        membership_tol=membership_tol,
+        constraint_tol=constraint_tol,
+        frame=frame,
     )
 
 

@@ -14,7 +14,6 @@ import time
 from pathlib import Path
 
 from .catalogue import run_catalogue
-from .cgp import DEFAULT_INNER_TRUNCATION
 from .errors import InputError
 from .runner import (
     DEFAULT_TRUNCATION,
@@ -81,7 +80,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    rows = run_catalogue(args.truncation, args.inner_truncation)
+    rows = run_catalogue(args.truncation)
     width = max(len(r.row_id) for r in rows)
     for row in rows:
         verdict = "PASS" if row.passed else "FAIL"
@@ -96,7 +95,6 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
             args.json_out,
             {
                 "truncation": args.truncation,
-                "inner_truncation": args.inner_truncation,
                 "passed": not failing,
                 "rows": [r.to_json_dict() for r in rows],
             },
@@ -196,9 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-paper", help="run the built-in catalogue of frozen instances"
     )
     p_verify.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
-    p_verify.add_argument(
-        "--inner-truncation", type=int, default=DEFAULT_INNER_TRUNCATION
-    )
     p_verify.add_argument("--json-out", default=None)
     p_verify.set_defaults(func=_cmd_verify_paper)
 

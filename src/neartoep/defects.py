@@ -46,6 +46,7 @@ from .subspaces import (
     kernel_subspace,
     minimal_defect,
     project,
+    rank_cut,
     relative_residuals,
     span,
     vanish_at_zero,
@@ -56,6 +57,9 @@ from .subspaces import (
 DIVISIBILITY_TOL = 1e-8
 
 WITNESS_KERNEL_TOL = 1e-8
+
+# Largest relative residual of a minimal-defect direction outside M + F.
+CONTAINMENT_TOL = 1e-7
 
 _DEFECT_CASES = (ZeroSymbol, InnerSymbol, InvertibleProductSymbol, ConjInnerSymbol)
 
@@ -68,7 +72,7 @@ def _require_defect_case(sym: Symbol) -> None:
 
 
 def model_space(
-    theta: BlaschkeProduct, truncation: int, rank_tol: float = 1e-9
+    theta: BlaschkeProduct, truncation: int, rank_tol: float = DEFAULT_RANK_TOL
 ) -> Subspace:
     """Truncated model space K_theta = H^2 (-) theta H^2 from its Takenaka-Malmquist basis.
 
@@ -332,13 +336,12 @@ def theorem_defect_bound(inst: Instance) -> int:
 def _null_space(mat: np.ndarray, rank_tol: float) -> np.ndarray:
     """Orthonormal null-space frame of a small system.
 
-    Singular values up to rank_tol * max(1, s0) count as zero, the cut
-    minimal_defect uses: the systems are built from unit-scale data, and a
-    system that is exactly zero has s0 at round-off.
+    The cut is rank_cut's with floor 1, as in minimal_defect: the systems
+    are built from unit-scale data, and a system that is exactly zero has
+    s0 at round-off.
     """
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    threshold = rank_tol * max(1.0, float(s[0]) if s.size else 0.0)
-    return vh[int(np.count_nonzero(s > threshold)) :].conj().T
+    return vh[rank_cut(s, rank_tol, floor=1.0) :].conj().T
 
 
 def _backshift_columns(mat: np.ndarray) -> np.ndarray:
@@ -437,7 +440,7 @@ class WitnessReport:
 
 def check_defect_theorem(
     inst: Instance,
-    containment_tol: float = 1e-7,
+    containment_tol: float = CONTAINMENT_TOL,
     witness_tol: float = WITNESS_KERNEL_TOL,
 ) -> tuple[DefectReport, WitnessReport]:
     """End-to-end check of the defect prediction on an instance's kernel.
@@ -479,8 +482,8 @@ def verify_defect_theorem(
     sym: Symbol,
     pert: PerturbationSpec,
     truncation: int,
-    rank_tol: float = 1e-9,
-    containment_tol: float = 1e-7,
+    rank_tol: float = DEFAULT_RANK_TOL,
+    containment_tol: float = CONTAINMENT_TOL,
     witness_tol: float = WITNESS_KERNEL_TOL,
 ) -> tuple[DefectReport, WitnessReport]:
     """check_defect_theorem on a fresh instance built from raw operator data."""

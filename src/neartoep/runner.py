@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cgp import DEFAULT_INNER_TRUNCATION, check_corollary
-from .defects import Instance, WitnessReport, check_defect_theorem
+from .cgp import CONSTRAINT_TOL, MEMBERSHIP_TOL, check_corollary
+from .defects import CONTAINMENT_TOL, Instance, WitnessReport, check_defect_theorem
 from .errors import HeadroomError, InputError
 from .operators import (
     ConjInnerSymbol,
@@ -27,14 +27,14 @@ from .operators import (
     symbol_from_json,
 )
 from .series import COEFF_TRIM_TOL
-from .subspaces import DefectReport, minimal_defect, vanish_at_zero
+from .subspaces import DEFAULT_RANK_TOL, DefectReport, minimal_defect, vanish_at_zero
 
 VALID_CHECKS = ("kernel", "defect", "witness", "cgp")
 DEFAULT_TRUNCATION = 128
 HEADROOM_MARGIN = 8
-CONTAINMENT_TOL = 1e-7
-# Singular values inside [rank_tol, rank_tol * band) make the kernel/range
-# split genuinely ambiguous at the working precision.
+# Singular values inside [rank_tol * s0, rank_tol * s0 * band), just above
+# rank_cut's cut, make the kernel/range split genuinely ambiguous at the
+# working precision.
 AMBIGUITY_BAND = 1e3
 SINGULAR_TAIL_LEN = 6
 
@@ -73,9 +73,9 @@ def _as_int(data: dict, key: str, default: int) -> int:
 class Tolerances:
     """Numerical thresholds shared by every check."""
 
-    rank: float = 1e-9
-    membership: float = 1e-8
-    constraint: float = 1e-8
+    rank: float = DEFAULT_RANK_TOL
+    membership: float = MEMBERSHIP_TOL
+    constraint: float = CONSTRAINT_TOL
 
     def __post_init__(self) -> None:
         for name in ("rank", "membership", "constraint"):
@@ -114,7 +114,6 @@ class Scenario:
     perturbation: PerturbationSpec
     scenario_id: str = "scenario"
     truncation: int = DEFAULT_TRUNCATION
-    inner_truncation: int = DEFAULT_INNER_TRUNCATION
     tolerances: Tolerances = field(default_factory=Tolerances)
     checks: tuple[str, ...] = VALID_CHECKS
     # Provenance only: parsed, validated and echoed in reports, read by no check.
@@ -134,10 +133,9 @@ class Scenario:
         object.__setattr__(self, "checks", ordered)
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise InputError("seed must be an integer")
-        for name in ("truncation", "inner_truncation"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-                raise InputError(f"{name} must be a positive integer")
+        n = self.truncation
+        if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
+            raise InputError("truncation must be a positive integer")
         # Oversized coefficient windows are clamped downstream, so only the
         # truncation itself carries a hard floor.
         floor = required_truncation(self.symbol, self.perturbation)
@@ -151,7 +149,6 @@ class Scenario:
         return {
             "scenario_id": self.scenario_id,
             "truncation": self.truncation,
-            "inner_truncation": self.inner_truncation,
             "seed": self.seed,
             "tolerances": self.tolerances.to_json_dict(),
             "symbol": self.symbol.to_json_dict(),
@@ -172,7 +169,6 @@ class Scenario:
         known = {
             "scenario_id",
             "truncation",
-            "inner_truncation",
             "seed",
             "tolerances",
             "symbol",
@@ -193,9 +189,6 @@ class Scenario:
             perturbation=PerturbationSpec.from_json_dict(data["perturbation"]),
             scenario_id=data.get("scenario_id", "scenario"),
             truncation=_as_int(data, "truncation", DEFAULT_TRUNCATION),
-            inner_truncation=_as_int(
-                data, "inner_truncation", DEFAULT_INNER_TRUNCATION
-            ),
             tolerances=Tolerances.from_json_dict(data.get("tolerances", {})),
             checks=tuple(checks),
             seed=_as_int(data, "seed", 0),
@@ -306,11 +299,11 @@ class SuiteReport:
 
 
 def kernel_outcome(inst: Instance) -> CheckOutcome:
-    """The kernel check: fails when a singular value sits near the rank threshold."""
+    """The kernel check: fails when a singular value sits just above the rank cut."""
     m = inst.kernel
     svals = sorted(m.svals)
-    rank_tol = inst.rank_tol
-    ambiguous = [s for s in svals if rank_tol <= s < rank_tol * AMBIGUITY_BAND]
+    cut = inst.rank_tol * max(m.svals, default=0.0)
+    ambiguous = [s for s in svals if cut <= s < cut * AMBIGUITY_BAND]
     details = {
         "kernel_dim": m.dim,
         "kernel_codim": inst.column_cap - m.dim,
@@ -362,7 +355,6 @@ def run_scenario(scenario: Scenario, stabilize: bool = True) -> ScenarioReport:
         else:
             rep = check_corollary(
                 inst,
-                scenario.inner_truncation,
                 membership_tol=tol.membership,
                 constraint_tol=tol.constraint,
             )

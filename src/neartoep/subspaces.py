@@ -1,9 +1,10 @@
 """Orthonormal-frame subspaces of the truncated coefficient space.
 
-Frames are N x d complex matrices with orthonormal columns.  Rank
-decisions run through SVDs with a relative threshold, singular-value
-profiles are kept so borderline decisions stay auditable, and frame
-phases are pinned (largest entry real positive) for determinism.
+Frames are N x d complex matrices with orthonormal columns.  Every rank
+decision is one call to rank_cut on an SVD's singular values,
+singular-value profiles are kept so borderline decisions stay auditable,
+and frame phases are pinned (largest entry real positive) for
+determinism.
 """
 
 from __future__ import annotations
@@ -22,6 +23,20 @@ DIRECT_SUM_MIN_ANGLE = 1e-8
 
 # Below this largest singular value a matrix is treated as identically zero.
 ZERO_OPERATOR_FLOOR = 1e-250
+
+
+def rank_cut(s: np.ndarray, tol: float, floor: float = 0.0) -> int:
+    """Numerical rank of descending singular values: the count of s > tol * max(floor, s0).
+
+    The single relative rule behind every rank decision (Hansen,
+    Rank-Deficient and Discrete Ill-Posed Problems, SIAM 1998, ch. 3).
+    floor = 1 makes the cut absolute for data of unit scale, whose s0 may
+    sit at round-off.  Values at or below the cut count as zero, and a
+    profile whose s0 is at most ZERO_OPERATOR_FLOOR has rank 0.
+    """
+    if len(s) == 0 or s[0] <= ZERO_OPERATOR_FLOOR:
+        return 0
+    return int(np.count_nonzero(s > tol * max(floor, float(s[0]))))
 
 
 def _fix_phases(frame: np.ndarray) -> np.ndarray:
@@ -142,8 +157,8 @@ def span(
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     if s.size == 0 or s[0] <= ZERO_OPERATOR_FLOOR:
         return Subspace.zero(truncation, rank_tol)
-    keep = s > rank_tol * s[0]
-    return Subspace(_fix_phases(u[:, keep]), truncation, rank_tol, svals=tuple(s))
+    rank = rank_cut(s, rank_tol)
+    return Subspace(_fix_phases(u[:, :rank]), truncation, rank_tol, svals=tuple(s))
 
 
 def kernel_subspace(
@@ -151,7 +166,7 @@ def kernel_subspace(
     rank_tol: float = DEFAULT_RANK_TOL,
     column_cap: int | None = None,
 ) -> Subspace:
-    """Numerical kernel via SVD: right singular directions below rank_tol.
+    """Numerical kernel via SVD: right singular directions at or below rank_cut's cut.
 
     column_cap restricts the domain to coefficients below that degree
     (the headroom interior); the returned frame lives in the full space.
@@ -172,7 +187,7 @@ def kernel_subspace(
             complement=np.zeros((cap, 0), dtype=np.complex128),
         )
     # s is sorted descending, so the null rows of vh are a suffix.
-    rank = int(np.count_nonzero(s >= rank_tol * s[0]))
+    rank = rank_cut(s, rank_tol)
     frame = np.zeros((n, cap - rank), dtype=np.complex128)
     frame[:cap, :] = vh[rank:][::-1].conj().T
     return Subspace(
@@ -267,10 +282,10 @@ def direct_sum(a: Subspace, b: Subspace) -> Subspace:
         )
     mat = np.column_stack([a.frame, b.frame])
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    keep = s > a.rank_tol * s[0]
-    if int(keep.sum()) != a.dim + b.dim:
+    rank = rank_cut(s, a.rank_tol)
+    if rank != a.dim + b.dim:
         raise ConditioningError("direct sum lost rank during orthonormalization")
-    return Subspace(_fix_phases(u[:, keep]), a.truncation, a.rank_tol, svals=tuple(s))
+    return Subspace(_fix_phases(u[:, :rank]), a.truncation, a.rank_tol, svals=tuple(s))
 
 
 def complement_within(ambient: Subspace, removed: Subspace) -> Subspace:
@@ -283,7 +298,7 @@ def complement_within(ambient: Subspace, removed: Subspace) -> Subspace:
         if abs(inside - 1.0) > 1e-8:
             raise InputError("removed subspace does not lie inside the ambient one")
     _, s, vh = np.linalg.svd(coords.conj().T, full_matrices=True)
-    rank = int(np.sum(s > s.max(initial=0.0) * np.finfo(float).eps * max(coords.shape)))
+    rank = rank_cut(s, np.finfo(float).eps * max(coords.shape))
     keep = vh[rank:].conj().T
     return Subspace(
         _fix_phases(ambient.frame @ keep), ambient.truncation, ambient.rank_tol
@@ -329,10 +344,9 @@ def minimal_defect(m: Subspace, w: Subspace) -> DefectReport:
     and S*w stays in the window, so the part outside m is C (C^H S*w).
     Its singular values and left singular vectors come from the small
     (cap - dim m) x dim w matrix C^H S*w, which gives
-    min(cap - dim m, dim w) singular values.  The threshold is
-    absolute-normalized (frames are orthonormal, so backshifted columns
-    have norm at most one); an empty or fully invariant input reports
-    defect 0.
+    min(cap - dim m, dim w) singular values.  The cut is rank_cut's with
+    floor 1 (frames are orthonormal, so backshifted columns have norm at
+    most one); an empty or fully invariant input reports defect 0.
     """
     comp = m.complement
     if comp is None:
@@ -342,10 +356,9 @@ def minimal_defect(m: Subspace, w: Subspace) -> DefectReport:
     # On the window S*w is w's rows 1..cap-1 followed by a zero row: w
     # vanishes from row cap on, and at cap = N the shift drops the top row.
     u, s, _ = np.linalg.svd(comp[:-1].conj().T @ w.frame[1:cap], full_matrices=False)
-    threshold = tol * max(1.0, float(s[0]) if s.size else 0.0)
-    keep = s > threshold
-    frame = np.zeros((m.truncation, int(keep.sum())), dtype=np.complex128)
-    frame[:cap] = comp @ u[:, keep]
+    rank = rank_cut(s, tol, floor=1.0)
+    frame = np.zeros((m.truncation, rank), dtype=np.complex128)
+    frame[:cap] = comp @ u[:, :rank]
     return DefectReport(
         frame.shape[1],
         Subspace(_fix_phases(frame), m.truncation, tol),

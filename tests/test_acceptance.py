@@ -212,7 +212,7 @@ def test_criterion_3_binomial_closed_forms():
         arr[0] = arr[k] = 1.0 / np.sqrt(2.0)
         u = AnalyticSeries(arr, n)
         v = AnalyticSeries.from_coeffs([0.0, 1.0], n)
-        frame = build_cgp_frame(ZeroSymbol(), PerturbationSpec(((u, v),)), n, 24)
+        frame = build_cgp_frame(ZeroSymbol(), PerturbationSpec(((u, v),)), n)
         vectors = dict(frame.constraint_vectors)
         want_f0 = np.zeros(n, dtype=np.complex128)
         want_f0[0], want_f0[k] = 0.5, -0.5

@@ -26,6 +26,7 @@ from neartoep.operators import (
 from neartoep.runner import (
     Scenario,
     Tolerances,
+    kernel_outcome,
     kernel_profile,
     run_scenario,
     run_suite,
@@ -35,14 +36,12 @@ from neartoep.runner import (
 from neartoep.series import AnalyticSeries, inner_product, multiply_analytic
 
 N = 64
-INNER = 24
 
 
 def basic_scenario_dict(scenario_id="demo", seed=3):
     return {
         "scenario_id": scenario_id,
         "truncation": N,
-        "inner_truncation": INNER,
         "seed": seed,
         "symbol": {
             "tag": "inner",
@@ -87,7 +86,6 @@ def failing_scenario_dict():
         perturbation=pert,
         scenario_id="gap",
         truncation=n,
-        inner_truncation=INNER,
         checks=("cgp",),
     )
     return scenario.to_json_dict()
@@ -316,6 +314,46 @@ def test_cli_kernel_command(tmp_path, capsys):
     assert payload["ambiguous_singular_values"] == []
 
 
+@pytest.mark.parametrize(
+    "v_norms, flagged",
+    [((1e4, 2e-5), True), ((1e-3, 5e-9), False)],
+    ids=["large-scale", "small-scale"],
+)
+def test_kernel_check_ambiguity_band_is_relative_to_the_largest_singular_value(
+    v_norms, flagged
+):
+    # R = v1 <., 1> + v2 <., z>: its window singular values are |v1| and |v2|.
+    # The band [rank_tol s0, 1e3 rank_tol s0) sits just above the rank cut
+    # rank_tol s0; an absolute band [rank_tol, 1e3 rank_tol) would miss
+    # 2e-5 beside s0 = 1e4 and flag 5e-9 beside s0 = 1e-3.
+    pert = PerturbationSpec((
+        (AnalyticSeries.monomial(0, N), AnalyticSeries.monomial(2, N, v_norms[0])),
+        (AnalyticSeries.monomial(1, N), AnalyticSeries.monomial(3, N, v_norms[1])),
+    ))
+    outcome = kernel_outcome(Instance(ZeroSymbol(), pert, N))
+    ambiguous = outcome.details["ambiguous_singular_values"]
+    assert ambiguous == ([pytest.approx(v_norms[1])] if flagged else [])
+    assert outcome.passed is not flagged
+    assert outcome.details["kernel_dim"] == N // 2 - 2
+
+
+@pytest.mark.parametrize("command", ["run", "kernel", "defect"])
+def test_cli_rejects_a_scenario_with_an_inner_truncation(tmp_path, capsys, command):
+    # The moment depth is the constant cgp.MOMENT_DEPTH, not a scenario field.
+    data = basic_scenario_dict()
+    data["inner_truncation"] = 48
+    path = write(tmp_path, "scenario.json", data)
+    assert main([command, path]) == 2
+    assert "inner_truncation" in capsys.readouterr().err
+
+
+def test_cli_verify_paper_has_no_moment_depth_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "--inner-truncation", "24"])
+    assert exc.value.code == 2
+    assert "--inner-truncation" in capsys.readouterr().err
+
+
 def test_cli_single_scenario_commands_reject_suites(tmp_path, capsys):
     suite = {"scenarios": [basic_scenario_dict("a"), basic_scenario_dict("b")]}
     path = write(tmp_path, "suite.json", suite)
@@ -334,7 +372,7 @@ def test_cli_verify_paper_default_passes(tmp_path, capsys):
 
 def test_cli_verify_paper_low_resolution_fails_cleanly(capsys):
     # at this resolution one reproducing-kernel row genuinely lacks tail room
-    code = main(["verify-paper", "--truncation", "64", "--inner-truncation", "24"])
+    code = main(["verify-paper", "--truncation", "64"])
     captured = capsys.readouterr()
     assert code == 1
     assert "FAILED: rep-annihilator-kernel-direction" in captured.err
