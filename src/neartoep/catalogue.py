@@ -49,6 +49,8 @@ from .subspaces import DEFAULT_RANK_TOL, principal_angles, span
 MIN_CATALOGUE_TRUNCATION = 64
 GAP_FLOOR = 1e-3          # a reproduced representation gap must exceed this
 ANGLE_TOL = 1e-7
+# The defect space and the span of the (m+1)-fold backshifts of the v_i.
+SHIFT_FORM_ANGLE_TOL = 1e-10
 FORMULA_TOL = 1e-10
 
 
@@ -256,7 +258,7 @@ def _r6(n: int):
         angle = float(principal_angles(f_general, f_shift)[-1])
     ok, details = _defect_details(inst)
     details["shift_form_angle"] = angle
-    return ok and angle < 1e-10, details
+    return ok and angle < SHIFT_FORM_ANGLE_TOL, details
 
 
 # ------------------------------------------------ invertible-product defect

@@ -49,7 +49,6 @@ from .series import (
     shift,
 )
 from .subspaces import (
-    DEFAULT_RANK_TOL,
     Subspace,
     _fix_phases,
     _right_svd,
@@ -71,6 +70,8 @@ INNER_MODULUS_TOL = 1e-8
 # Kernel-membership residual and clause violation counting as zero.
 MEMBERSHIP_TOL = 1e-8
 CONSTRAINT_TOL = 1e-8
+# Largest principal angle between the representation image and the kernel.
+ANGLE_AUDIT_TOL = 1e-6
 # Rows of every moment clause: <k_j, z^n v_j> summed over slots, n < MOMENT_DEPTH.
 MOMENT_DEPTH = 48
 _PAD_TOL = 1e-12
@@ -651,11 +652,7 @@ class RepresentationReport:
 
 
 def check_corollary(
-    inst: Instance,
-    *,
-    membership_tol: float = MEMBERSHIP_TOL,
-    constraint_tol: float = CONSTRAINT_TOL,
-    frame: CgpFrame | None = None,
+    inst: Instance, *, frame: CgpFrame | None = None
 ) -> RepresentationReport:
     """Bidirectional check of the kernel representation on an instance.
 
@@ -695,7 +692,7 @@ def check_corollary(
         )
     f0_resid = 0.0
     if frame.f0.norm() > 1e-12:
-        _, f0_resid = contains(m, frame.f0, membership_tol)
+        _, f0_resid = contains(m, frame.f0, MEMBERSHIP_TOL)
     # Forward tuples may use any support that keeps the assembled series
     # in-band; the interior column cap only governs kernel extraction.
     cap_fwd = min(MOMENT_DEPTH, truncation - frame.degree_pad)
@@ -744,13 +741,13 @@ def check_corollary(
                 "kernel directions"
             )
     passed = (
-        forward_max < membership_tol
-        and reverse_max < membership_tol
-        and constraint_max < constraint_tol
-        and backshift_max < constraint_tol
-        and f0_resid < membership_tol
+        forward_max < MEMBERSHIP_TOL
+        and reverse_max < MEMBERSHIP_TOL
+        and constraint_max < CONSTRAINT_TOL
+        and backshift_max < CONSTRAINT_TOL
+        and f0_resid < MEMBERSHIP_TOL
         and (norm_err is None or norm_err < NORM_IDENTITY_TOL)
-        and (audit is None or audit < 1e-6)
+        and (audit is None or audit < ANGLE_AUDIT_TOL)
     )
     return RepresentationReport(
         case_tag=frame.case_tag,
@@ -774,18 +771,10 @@ def verify_corollary(
     pert: PerturbationSpec,
     truncation: int,
     *,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    membership_tol: float = MEMBERSHIP_TOL,
-    constraint_tol: float = CONSTRAINT_TOL,
     frame: CgpFrame | None = None,
 ) -> RepresentationReport:
     """check_corollary on a fresh instance built from raw operator data."""
-    return check_corollary(
-        Instance(sym, pert, truncation, rank_tol),
-        membership_tol=membership_tol,
-        constraint_tol=constraint_tol,
-        frame=frame,
-    )
+    return check_corollary(Instance(sym, pert, truncation), frame=frame)
 
 
 def remark_projection_formula(

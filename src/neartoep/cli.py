@@ -14,13 +14,13 @@ import time
 from pathlib import Path
 
 from .catalogue import run_catalogue
+from .defects import check_defect_theorem
 from .errors import InputError
 from .runner import (
     DEFAULT_TRUNCATION,
     Scenario,
     kernel_outcome,
     run_suite,
-    scenario_defects,
     scenarios_from_json,
 )
 
@@ -104,7 +104,7 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
 
 def _cmd_defect(args: argparse.Namespace) -> int:
     scenario = _single_scenario(args.scenario_file, args)
-    report, witness = scenario_defects(scenario, scenario.instance())
+    report, witness = check_defect_theorem(scenario.instance())
     ok = report.passed
     contained = "contained" if report.contained_in_theorem_space else "NOT contained"
     print(

@@ -9,13 +9,14 @@ numbers, so identical scenario inputs always serialize to identical bytes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .cgp import CONSTRAINT_TOL, MEMBERSHIP_TOL, check_corollary
-from .defects import CONTAINMENT_TOL, Instance, WitnessReport, check_defect_theorem
+from .cgp import CONSTRAINT_TOL, check_corollary
+# No check here reads CONTAINMENT_TOL; the benchmark reads it as runner.CONTAINMENT_TOL.
+from .defects import CONTAINMENT_TOL, WITNESS_KERNEL_TOL, Instance, check_defect_theorem
 from .errors import HeadroomError, InputError
 from .operators import (
     ConjInnerSymbol,
@@ -27,7 +28,7 @@ from .operators import (
     symbol_from_json,
 )
 from .series import COEFF_TRIM_TOL
-from .subspaces import DEFAULT_RANK_TOL, DefectReport, minimal_defect, vanish_at_zero
+from .subspaces import DEFAULT_RANK_TOL, minimal_defect, vanish_at_zero
 
 VALID_CHECKS = ("kernel", "defect", "witness", "cgp")
 DEFAULT_TRUNCATION = 128
@@ -71,39 +72,15 @@ def _as_int(data: dict, key: str, default: int) -> int:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared by every check."""
+    """The rank, witness-membership and clause thresholds the checks apply.
+
+    Every verdict reads its module constant directly; this record only
+    reports the values.
+    """
 
     rank: float = DEFAULT_RANK_TOL
-    membership: float = MEMBERSHIP_TOL
+    membership: float = WITNESS_KERNEL_TOL
     constraint: float = CONSTRAINT_TOL
-
-    def __post_init__(self) -> None:
-        for name in ("rank", "membership", "constraint"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not 0.0 < float(value) < 1.0:
-                raise InputError(f"tolerance {name!r} must lie in (0, 1)")
-            object.__setattr__(self, name, float(value))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "membership": self.membership,
-            "constraint": self.constraint,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Tolerances":
-        if not isinstance(data, dict):
-            raise InputError("tolerances must be a JSON object")
-        unknown = set(data) - {"rank", "membership", "constraint"}
-        if unknown:
-            raise InputError(f"unknown tolerance fields: {sorted(unknown)}")
-        base = cls()
-        return cls(
-            rank=data.get("rank", base.rank),
-            membership=data.get("membership", base.membership),
-            constraint=data.get("constraint", base.constraint),
-        )
 
 
 @dataclass(frozen=True)
@@ -114,7 +91,6 @@ class Scenario:
     perturbation: PerturbationSpec
     scenario_id: str = "scenario"
     truncation: int = DEFAULT_TRUNCATION
-    tolerances: Tolerances = field(default_factory=Tolerances)
     checks: tuple[str, ...] = VALID_CHECKS
     # Provenance only: parsed, validated and echoed in reports, read by no check.
     seed: int = 0
@@ -150,17 +126,20 @@ class Scenario:
             "scenario_id": self.scenario_id,
             "truncation": self.truncation,
             "seed": self.seed,
-            "tolerances": self.tolerances.to_json_dict(),
             "symbol": self.symbol.to_json_dict(),
             "perturbation": self.perturbation.to_json_dict(),
             "checks": list(self.checks),
         }
 
+    @property
+    def tolerances(self) -> Tolerances:
+        """The thresholds every check applies.  Only the benchmark in
+        perfbench/ reads this; no check does."""
+        return Tolerances()
+
     def instance(self) -> Instance:
-        """The scenario's operator data at its truncation and rank tolerance."""
-        return Instance(
-            self.symbol, self.perturbation, self.truncation, self.tolerances.rank
-        )
+        """The scenario's operator data at its truncation."""
+        return Instance(self.symbol, self.perturbation, self.truncation)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Scenario":
@@ -170,7 +149,6 @@ class Scenario:
             "scenario_id",
             "truncation",
             "seed",
-            "tolerances",
             "symbol",
             "perturbation",
             "checks",
@@ -189,7 +167,6 @@ class Scenario:
             perturbation=PerturbationSpec.from_json_dict(data["perturbation"]),
             scenario_id=data.get("scenario_id", "scenario"),
             truncation=_as_int(data, "truncation", DEFAULT_TRUNCATION),
-            tolerances=Tolerances.from_json_dict(data.get("tolerances", {})),
             checks=tuple(checks),
             seed=_as_int(data, "seed", 0),
         )
@@ -280,12 +257,6 @@ class ScenarioReport:
 class SuiteReport:
     scenarios: tuple[ScenarioReport, ...]
 
-    def __post_init__(self) -> None:
-        ids = [r.scenario_id for r in self.scenarios]
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        if dupes:
-            raise InputError(f"duplicate scenario ids: {dupes}")
-
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.scenarios)
@@ -315,24 +286,12 @@ def kernel_outcome(inst: Instance) -> CheckOutcome:
     return CheckOutcome("kernel", not ambiguous, details)
 
 
-def scenario_defects(
-    scenario: Scenario, inst: Instance
-) -> tuple[DefectReport, WitnessReport]:
-    """The defect theorem check on the scenario's instance, at its tolerances."""
-    return check_defect_theorem(
-        inst,
-        containment_tol=CONTAINMENT_TOL,
-        witness_tol=scenario.tolerances.membership,
-    )
-
-
 def run_scenario(scenario: Scenario, stabilize: bool = True) -> ScenarioReport:
     """Execute the requested checks; stabilize re-runs dimensions at 2N."""
     start = time.perf_counter()
-    tol = scenario.tolerances
     inst = scenario.instance()
     if {"defect", "witness"} & set(scenario.checks):
-        report, witness = scenario_defects(scenario, inst)
+        report, witness = check_defect_theorem(inst)
     outcomes = []
     for check in scenario.checks:
         if check == "kernel":
@@ -350,14 +309,10 @@ def run_scenario(scenario: Scenario, stabilize: bool = True) -> ScenarioReport:
                 ],
             }
             outcomes.append(
-                CheckOutcome("witness", witness.passed(tol.membership), details)
+                CheckOutcome("witness", witness.passed(WITNESS_KERNEL_TOL), details)
             )
         else:
-            rep = check_corollary(
-                inst,
-                membership_tol=tol.membership,
-                constraint_tol=tol.constraint,
-            )
+            rep = check_corollary(inst)
             outcomes.append(CheckOutcome("cgp", rep.passed, rep.to_json_dict()))
     stability = stability_summary(inst) if stabilize else None
     return ScenarioReport(

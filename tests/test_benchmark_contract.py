@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from neartoep import cgp, defects, subspaces
+from neartoep import cgp, defects, runner, subspaces
+from neartoep.operators import PerturbationSpec, ZeroSymbol
+from neartoep.series import AnalyticSeries
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -83,3 +85,20 @@ def test_call_forms_the_benchmark_uses_still_bind():
     _bind(cgp.verify_corollary, "sym", "pert", 128)
     # The corollary observer counts the report's kernel columns.
     assert "kernel_dim" in cgp.RepresentationReport.__dataclass_fields__
+
+
+def test_the_scenario_surface_the_benchmark_reads():
+    # perfbench/workloads.py builds scenarios with these keywords and passes
+    # their tolerances to verify_defect_theorem; a missing attribute would
+    # count every defect-suite instance as failed.
+    pert = PerturbationSpec(
+        ((AnalyticSeries.monomial(0, 16), AnalyticSeries.monomial(1, 16)),)
+    )
+    s = runner.Scenario(
+        symbol=ZeroSymbol(), perturbation=pert, scenario_id="000-zero",
+        truncation=16, checks=("defect", "witness"), seed=0,
+    )
+    defaults = _bind(defects.verify_defect_theorem, "sym", "pert", 16)
+    assert s.tolerances.rank == defaults["rank_tol"]
+    assert s.tolerances.membership == defaults["witness_tol"]
+    assert runner.CONTAINMENT_TOL == defaults["containment_tol"]

@@ -25,7 +25,6 @@ from neartoep.operators import (
 )
 from neartoep.runner import (
     Scenario,
-    Tolerances,
     kernel_outcome,
     kernel_profile,
     run_scenario,
@@ -122,8 +121,6 @@ def test_scenario_schema_violations():
     bad_tol["tolerances"] = {"rank": 2.0}
     with pytest.raises(InputError):
         scenarios_from_json(bad_tol)
-    with pytest.raises(InputError):
-        Tolerances(membership=-1e-9)
 
 
 def test_headroom_rule_names_headroom():
@@ -345,6 +342,16 @@ def test_cli_rejects_a_scenario_with_an_inner_truncation(tmp_path, capsys, comma
     path = write(tmp_path, "scenario.json", data)
     assert main([command, path]) == 2
     assert "inner_truncation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("as_suite_entry", [False, True], ids=["scenario", "suite-entry"])
+def test_cli_rejects_a_scenario_with_tolerances(tmp_path, capsys, as_suite_entry):
+    # Every verdict threshold is a module constant, not a scenario field.
+    data = basic_scenario_dict()
+    data["tolerances"] = {"rank": 1e-9}
+    path = write(tmp_path, "scenario.json", {"scenarios": [data]} if as_suite_entry else data)
+    assert main(["run", path]) == 2
+    assert "tolerances" in capsys.readouterr().err
 
 
 def test_cli_verify_paper_has_no_moment_depth_flag(capsys):

@@ -527,3 +527,17 @@ def test_conj_inner_defect_is_contained_at_n64():
     pert = seeded_perturbation(np.random.default_rng(505), 64, 3, 6)
     report, _ = verify_defect_theorem(ConjInnerSymbol(theta), pert, 64)
     assert report.passed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP items 1(b) and 9: the structured kernel has dim 2 at every "
+    "N with a tail of 1.2e-5 beyond the N = 64 window, where the SVD kernel "
+    "has dim 0, so the seeded conj_inner defect check passes on 0 witnesses",
+)
+def test_seeded_conj_inner_kernel_is_not_empty_at_n64():
+    # The data of test_verify_defect_theorem_seeded_instance[conj_inner].
+    rng = np.random.default_rng(CASE_SEEDS["conj_inner"])
+    pert = seeded_perturbation(rng, N, rank=2, max_degree=6)
+    inst = Instance(ConjInnerSymbol(random_blaschke(rng, max_degree=2)), pert, N)
+    assert inst.kernel.dim == inst.structured_kernel[0].dim
