@@ -35,14 +35,9 @@ from .runner import DEFAULT_TRUNCATION, stability_summary
 from .series import (
     AnalyticSeries,
     backshift,
-    conj_on_circle,
-    embed,
     inner_product,
-    multiply,
     multiply_analytic,
     reproducing_kernel,
-    riesz_project,
-    taylor_invert,
 )
 from .subspaces import DEFAULT_RANK_TOL, principal_angles, span
 
@@ -389,15 +384,19 @@ def _r15(n: int):
 
 # --------------------------------------------- multiplier representation
 
+def _singular_pairing(sym, u: AnalyticSeries, v: AnalyticSeries, n: int):
+    """sym with the rank-one term (u, kappa v), kappa = -1/<C v, u> for the
+    family's corrector C, so that the pairing 1 + <C kappa v, u> vanishes."""
+    kappa = -1.0 / complex(Instance(sym, PerturbationSpec(((u, v),)), n).pairing[0, 0])
+    return sym, PerturbationSpec(((u, kappa * v),))
+
+
 def _inner_line_instance(n: int, head: Sequence[complex]):
     th = _inner_pair_symbol()
     th_exp = blaschke_expand(th, n)
     p = _poly(head, n)
     u = _unit(_poly([1.0, 0.3, -0.2, 0.1], n))
-    v_base = multiply_analytic(th_exp, p)
-    q = riesz_project(multiply(conj_on_circle(th_exp), embed(v_base)))
-    kappa = -1.0 / complex(inner_product(q, u))
-    return InnerSymbol(th), PerturbationSpec(((u, kappa * v_base),))
+    return _singular_pairing(InnerSymbol(th), u, multiply_analytic(th_exp, p), n)
 
 
 @_row(
@@ -421,23 +420,16 @@ def _r17(n: int):
 
 
 def _invertible_line_instance(n: int, zero_mean: bool):
-    f1 = _poly([1.0, 1 / 3], n)
-    f2 = _poly([1.0, -0.25], n)
-    f1_inv = taylor_invert(f1)
-    f2_inv = taylor_invert(f2)
+    sym = InvertibleProductSymbol(_poly([1.0, 1 / 3], n), _poly([1.0, -0.25], n))
     u = _unit(_poly([0.6, -0.2, 0.3, 0.1, -0.05], n))
     v = _poly([0.4, 0.2, -0.3, 0.15], n)
     if zero_mean:
         # force the doubly solved vector to vanish at 0
-        w = np.conj(f2_inv.coeffs)
+        w = np.conj(Instance(sym, PerturbationSpec(((u, v),)), n).f2_inv.coeffs)
         v = v - AnalyticSeries(
             w * (np.vdot(w, v.coeffs) / np.vdot(w, w)), n
         )
-    t = riesz_project(multiply(conj_on_circle(f2_inv), embed(v)))
-    q = multiply_analytic(f1_inv, t)
-    kappa = -1.0 / complex(inner_product(q, u))
-    sym = InvertibleProductSymbol(f1, f2)
-    return sym, PerturbationSpec(((u, kappa * v),))
+    return _singular_pairing(sym, u, v, n)
 
 
 @_row(
@@ -479,10 +471,7 @@ def _extended_model_instance(n: int):
     th = _conj_pair_symbol()
     th_exp = blaschke_expand(th, n)
     u = _unit(multiply_analytic(th_exp, _poly([1.0, 0.4, -0.2], n)))
-    v_base = _poly([0.5, 0.2, -0.3, 0.1], n)
-    tv = multiply_analytic(th_exp, v_base)
-    kappa = -1.0 / complex(inner_product(tv, u))
-    return ConjInnerSymbol(th), PerturbationSpec(((u, kappa * v_base),))
+    return _singular_pairing(ConjInnerSymbol(th), u, _poly([0.5, 0.2, -0.3, 0.1], n), n)
 
 
 @_row(

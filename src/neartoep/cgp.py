@@ -326,24 +326,22 @@ def _kernel_line_frame(
 
 
 def _inner_frame(inst: Instance) -> CgpFrame:
-    u, v = _single_term(inst.perturbation)
+    _, v = _single_term(inst.perturbation)
     truncation = inst.truncation
-    theta_exp = inst.theta
-    q = riesz_project(multiply(conj_on_circle(theta_exp), embed(v)))
-    rebuilt = multiply_analytic(theta_exp, q)
+    q = AnalyticSeries(inst.corrected_v[:, 0], truncation)
+    rebuilt = multiply_analytic(inst.theta, q)
     if (rebuilt - v).norm() > DEGENERATE_BRANCH_TOL * max(1.0, v.norm()):
         return _trivial_frame("inner-line", truncation, "inner factor does not divide v")
-    c = 1.0 + complex(inner_product(q, u))
+    c = 1.0 + complex(inst.pairing[0, 0])
     return _kernel_line_frame(
         "inner-line", q, AnalyticSeries.one(truncation), c, truncation
     )
 
 
 def _invertible_frame(inst: Instance) -> CgpFrame:
-    u, v = _single_term(inst.perturbation)
-    t = riesz_project(multiply(conj_on_circle(inst.f2_inv), embed(v)))
-    q = multiply_analytic(inst.f1_inv, t)
-    c = 1.0 + complex(inner_product(q, u))
+    _single_term(inst.perturbation)  # rank one with a nonconstant v, or raise
+    q = AnalyticSeries(inst.corrected_v[:, 0], inst.truncation)
+    c = 1.0 + complex(inst.pairing[0, 0])
     return _kernel_line_frame("invertible-line", q, inst.f1_inv, c, inst.truncation)
 
 
@@ -354,12 +352,12 @@ def _conj_inner_frame(inst: Instance) -> CgpFrame:
     theta_exp = inst.theta
     theta0 = theta_exp.coeffs[0]
     u1 = inst.model_parts[0]
-    theta_v = multiply_analytic(theta_exp, v)
+    theta_v = AnalyticSeries(inst.corrected_v[:, 0], truncation)
     v_at_zero = v.coeffs[0]
     nsv = backshift(v).norm()
     p_model = one - np.conj(theta0) * theta_exp
     divisible = u1.norm() <= DIVISIBILITY_TOL * u.norm()
-    if divisible and abs(1.0 + complex(inner_product(theta_v, u))) > DEGENERATE_BRANCH_TOL:
+    if divisible and abs(1.0 + complex(inst.pairing[0, 0])) > DEGENERATE_BRANCH_TOL:
         return CgpFrame(
             case_tag="conj-inner",
             branch="model-space",

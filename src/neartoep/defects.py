@@ -35,8 +35,6 @@ from .series import (
     conj_on_circle,
     embed,
     multiply,
-    multiply_analytic,
-    riesz_project,
     taylor_invert,
 )
 from .subspaces import (
@@ -101,11 +99,6 @@ def model_space(
             # prefix * b_a = (prefix * k_a) * (a - z)
             prefix = np.convolve(basis[-1], [point, -1.0])[:n]
     return span(basis, n, rank_tol)
-
-
-def conj_toeplitz_apply(f: AnalyticSeries, h: AnalyticSeries) -> AnalyticSeries:
-    """Apply the Toeplitz operator with symbol conj(f) to h."""
-    return riesz_project(multiply(conj_on_circle(f), embed(h)))
 
 
 def lambda_set(k_theta: Subspace, u_list: list[AnalyticSeries]) -> set[int]:
@@ -197,17 +190,26 @@ class Instance:
         invertible product, multiplication by theta for a conjugate-inner
         symbol.  Each maps T_g x back to x up to ker T_g.
         """
-        n = self.truncation
-        out = np.zeros((n, cols.shape[1]), dtype=np.complex128)
-        for i, col in enumerate(cols.T):
-            h = AnalyticSeries(col, n)
-            if isinstance(self.symbol, InnerSymbol):
-                image = conj_toeplitz_apply(self.theta, h)
-            elif isinstance(self.symbol, InvertibleProductSymbol):
-                image = multiply_analytic(self.f1_inv, conj_toeplitz_apply(self.f2_inv, h))
-            else:
-                image = multiply_analytic(self.theta, h)
-            out[:, i] = image.coeffs
+        if isinstance(self.symbol, InnerSymbol):
+            return _conj_toeplitz_columns(self.theta.coeffs, cols)
+        if isinstance(self.symbol, InvertibleProductSymbol):
+            return _multiply_columns(
+                self.f1_inv.coeffs, _conj_toeplitz_columns(self.f2_inv.coeffs, cols)
+            )
+        return _multiply_columns(self.theta.coeffs, cols)
+
+    @cached_property
+    def corrected_v(self) -> np.ndarray:
+        """C V: the corrector applied to each v_i, N x r (not for g = 0)."""
+        out = self._corrected(self.perturbation.v_matrix(self.truncation))
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def pairing(self) -> np.ndarray:
+        """U^H C V, r x r: entry (i, j) is <C v_j, u_i> (not for g = 0)."""
+        out = self.perturbation.u_matrix(self.truncation).conj().T @ self.corrected_v
+        out.setflags(write=False)
         return out
 
     @cached_property
@@ -242,16 +244,17 @@ class Instance:
         sym, n, cap = self.symbol, self.truncation, self.column_cap
         if not isinstance(sym, (InnerSymbol, InvertibleProductSymbol, ConjInnerSymbol)):
             return self.kernel, 0.0
-        u, v = self.perturbation.u_matrix(n), self.perturbation.v_matrix(n)
-        cv = self._corrected(v)
-        pairing = np.eye(u.shape[1]) + u.conj().T @ cv
+        cv = self.corrected_v
+        i_plus = np.eye(cv.shape[1]) + self.pairing
         if isinstance(sym, InvertibleProductSymbol):
-            system, solutions = pairing, cv
+            system, solutions = i_plus, cv
         elif isinstance(sym, InnerSymbol):
-            system, solutions = np.vstack((self.k_theta.frame.conj().T @ v, pairing)), cv
+            v = self.perturbation.v_matrix(n)
+            system, solutions = np.vstack((self.k_theta.frame.conj().T @ v, i_plus)), cv
         else:
             k = self.k_theta.frame
-            system = np.hstack((pairing, -(u.conj().T @ k)))
+            u = self.perturbation.u_matrix(n)
+            system = np.hstack((i_plus, -(u.conj().T @ k)))
             solutions = np.hstack((-cv, k))
         q, _ = np.linalg.qr(solutions @ _null_space(system, self.rank_tol))
         dim = q.shape[1]
@@ -342,6 +345,24 @@ def _null_space(mat: np.ndarray, rank_tol: float) -> np.ndarray:
     """
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
     return vh[rank_cut(s, rank_tol, floor=1.0) :].conj().T
+
+
+def _multiply_columns(f: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Multiplication by the analytic f on every column, cut to N coefficients."""
+    n = cols.shape[0]
+    out = np.zeros(cols.shape, dtype=np.complex128)
+    for j in range(cols.shape[1]):
+        out[:, j] = np.convolve(f, cols[:, j])[:n]
+    return out
+
+
+def _conj_toeplitz_columns(f: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """T_conj(f) on every column: coefficient k is sum_m conj(f[m]) c[k + m]."""
+    n = cols.shape[0]
+    out = np.zeros(cols.shape, dtype=np.complex128)
+    for j in range(cols.shape[1]):
+        out[:, j] = np.correlate(cols[:, j], f, "full")[n - 1 :]
+    return out
 
 
 def _backshift_columns(mat: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ from neartoep.defects import (
     WitnessEntry,
     WitnessReport,
     check_defect_theorem,
-    conj_toeplitz_apply,
     defect_witness,
     defect_witnesses,
     lambda_set,
@@ -375,6 +374,66 @@ def test_batched_witnesses_match_the_per_h_construction(case):
     assert np.linalg.norm(single - expected[0][0]) <= 1e-12 * np.linalg.norm(expected[0][0])
 
 
+def _conj_toeplitz_series(f, h):
+    """T_conj(f) h as a product of circle series, one vector at a time."""
+    return riesz_project(multiply(conj_on_circle(f), embed(h)))
+
+
+def _reference_corrected(inst, cols):
+    """The family's corrector built column by column from series products:
+    the reference for Instance's array form."""
+    n = inst.truncation
+    out = np.zeros(cols.shape, dtype=np.complex128)
+    for i, col in enumerate(cols.T):
+        h = AnalyticSeries(col, n)
+        if isinstance(inst.symbol, InnerSymbol):
+            image = _conj_toeplitz_series(inst.theta, h)
+        elif isinstance(inst.symbol, InvertibleProductSymbol):
+            image = multiply_analytic(inst.f1_inv, _conj_toeplitz_series(inst.f2_inv, h))
+        else:
+            image = multiply_analytic(inst.theta, h)
+        out[:, i] = image.coeffs
+    return out
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["N", "2N"])
+@pytest.mark.parametrize("case", ["inner", "invertible", "conj_inner"])
+def test_array_corrector_matches_the_series_products(case, doubled):
+    inst = _equivalence_instance(case)
+    empty = Instance(inst.symbol, PerturbationSpec(()), inst.truncation)
+    if doubled:
+        inst, empty = inst.doubled, empty.doubled
+    n = inst.truncation
+    u, v = inst.perturbation.u_matrix(n), inst.perturbation.v_matrix(n)
+    cv = _reference_corrected(inst, v)
+    for got, expected in (
+        (inst.corrected_v, cv),
+        (inst.shifted_images, _reference_corrected(inst, defects._backshift_columns(v))),
+        (empty.corrected_v, _reference_corrected(inst, v[:, :0])),
+        (inst.pairing, u.conj().T @ cv),
+    ):
+        assert got.shape == expected.shape
+        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+    assert empty.corrected_v.shape == (n, 0) and empty.pairing.shape == (0, 0)
+
+
+@pytest.mark.parametrize("case", ["inner", "invertible", "conj_inner"])
+def test_corrector_makes_no_series_product_calls(monkeypatch, case):
+    inst = _equivalence_instance(case)
+    # the corrector's symbol data, read before counting starts
+    if isinstance(inst.symbol, InvertibleProductSymbol):
+        assert inst.f1_inv.truncation == inst.f2_inv.truncation == N
+    else:
+        assert inst.theta.truncation == N
+    calls = [
+        count_calls(monkeypatch, series, name)
+        for name in ("multiply", "multiply_analytic", "riesz_project")
+    ]
+    assert inst.shifted_images.shape == (N, inst.perturbation.rank_bound)
+    assert inst.structured_kernel[0].dim > 0
+    assert [len(c) for c in calls] == [0, 0, 0]
+
+
 def _singular_pairing_instance(sym, corrector):
     """Seeded rank-one data with v scaled so that 1 + <C v, u> = 0, C the
     case's corrector.  For an inner symbol v stays outside theta H^2, so
@@ -397,13 +456,13 @@ def _structured_instance(case):
     if case == "inner-outside-theta-h2":
         th = blaschke_expand(theta, N)
         return _singular_pairing_instance(
-            InnerSymbol(theta), lambda v: conj_toeplitz_apply(th, v)
+            InnerSymbol(theta), lambda v: _conj_toeplitz_series(th, v)
         )
     if case == "invertible-singular-pairing":
         f1_inv, f2_inv = series.taylor_invert(f1), series.taylor_invert(f2)
         return _singular_pairing_instance(
             InvertibleProductSymbol(f1, f2),
-            lambda v: multiply_analytic(f1_inv, conj_toeplitz_apply(f2_inv, v)),
+            lambda v: multiply_analytic(f1_inv, _conj_toeplitz_series(f2_inv, v)),
         )
     if case.startswith("inner-line"):
         head = [1.0, 0.5, 0.2] if case.endswith("nonzero-mean") else [0.0, 1.0, 1 / 3]
