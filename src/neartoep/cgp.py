@@ -207,11 +207,9 @@ def projection_of_one(m: Subspace) -> AnalyticSeries:
     return project(m, AnalyticSeries.one(m.truncation))
 
 
-def w_theta(
-    theta_exp: AnalyticSeries, v: AnalyticSeries, u_theta: AnalyticSeries
-) -> complex:
-    """1 + <theta v, u_theta>, the split-branch selector."""
-    return 1.0 + complex(inner_product(multiply_analytic(theta_exp, v), u_theta))
+def w_theta(theta_v: AnalyticSeries, u_theta: AnalyticSeries) -> complex:
+    """1 + <theta v, u_theta>, the split-branch selector, from the product theta v."""
+    return 1.0 + complex(inner_product(theta_v, u_theta))
 
 
 def rho_theta(
@@ -386,7 +384,7 @@ def _conj_inner_frame(inst: Instance) -> CgpFrame:
             ),
             f0=p_ambient,
         )
-    wt = w_theta(theta_exp, v, u - u1)
+    wt = w_theta(theta_v, u - u1)
     nu1 = u1.norm()
     e2 = u1 * (1.0 / nu1)
     a2 = mult_matrix(shift(e2))
@@ -482,7 +480,8 @@ def _monomial_split_setup(power: int, pert: PerturbationSpec, truncation: int):
         np.concatenate([np.zeros(power, dtype=np.complex128), u.coeffs[power:]]),
         truncation,
     )
-    return u, v, theta_exp, w_theta(theta_exp, v, u2), multiply_analytic(theta_exp, v)
+    theta_v = multiply_analytic(theta_exp, v)
+    return u, v, theta_exp, w_theta(theta_v, u2), theta_v
 
 
 def build_monomial_split_frame(

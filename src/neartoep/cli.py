@@ -105,7 +105,7 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
 def _cmd_defect(args: argparse.Namespace) -> int:
     scenario = _single_scenario(args.scenario_file, args)
     report, witness = check_defect_theorem(scenario.instance())
-    ok = report.passed
+    ok = report.passed and witness.passed
     contained = "contained" if report.contained_in_theorem_space else "NOT contained"
     print(
         f"scenario {scenario.scenario_id}: defect dim {report.defect_dim}, "

@@ -423,20 +423,19 @@ def defect_witness(
 
 @dataclass(frozen=True)
 class WitnessEntry:
-    witness: AnalyticSeries
+    """The two residuals of one witness: S*h + w in the kernel, w in F."""
+
     membership_residual: float
     w_in_space_residual: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "witness": self.witness.to_json_dict(),
-            "membership_residual": self.membership_residual,
-            "w_in_space_residual": self.w_in_space_residual,
-        }
 
 
 @dataclass(frozen=True)
 class WitnessReport:
+    """The residuals of every witness of an instance, in column order.
+
+    The witness vectors are defect_witnesses(inst, inst.vanishing.frame).
+    """
+
     entries: tuple[WitnessEntry, ...]
 
     @property
@@ -447,15 +446,22 @@ class WitnessReport:
     def max_w_in_space_residual(self) -> float:
         return max((e.w_in_space_residual for e in self.entries), default=0.0)
 
-    def passed(self, tol: float) -> bool:
-        """Every S*h + w lies in the kernel and every w in F, both below tol."""
-        return self.max_membership_residual < tol and self.max_w_in_space_residual < tol
+    @property
+    def passed(self) -> bool:
+        """Both residuals of every witness below WITNESS_KERNEL_TOL."""
+        return (
+            self.max_membership_residual < WITNESS_KERNEL_TOL
+            and self.max_w_in_space_residual < WITNESS_KERNEL_TOL
+        )
 
     def to_json_dict(self) -> dict:
         return {
+            "entries": len(self.entries),
             "max_membership_residual": self.max_membership_residual,
             "max_w_in_space_residual": self.max_w_in_space_residual,
-            "entries": [e.to_json_dict() for e in self.entries],
+            "per_entry_residuals": [
+                [e.membership_residual, e.w_in_space_residual] for e in self.entries
+            ],
         }
 
 
@@ -467,6 +473,8 @@ def check_defect_theorem(
     """End-to-end check of the defect prediction on an instance's kernel.
 
     Failures land in the report fields; only malformed inputs raise.
+    witness_tol is the hypothesis tolerance of defect_witnesses; the
+    witness pass rule is WitnessReport.passed.
     """
     _require_defect_case(inst.symbol)
     n = inst.truncation
@@ -493,8 +501,7 @@ def check_defect_theorem(
     membership = np.linalg.norm(inst.operator.entries @ candidates, axis=0) / scale
     w_resid = relative_residuals(f_space, ws)
     entries = tuple(
-        WitnessEntry(AnalyticSeries(ws[:, j], n), float(membership[j]), float(w_resid[j]))
-        for j in range(ws.shape[1])
+        WitnessEntry(float(m_res), float(w_res)) for m_res, w_res in zip(membership, w_resid)
     )
     return report, WitnessReport(entries)
 

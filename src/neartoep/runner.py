@@ -299,18 +299,7 @@ def run_scenario(scenario: Scenario, stabilize: bool = True) -> ScenarioReport:
         elif check == "defect":
             outcomes.append(CheckOutcome("defect", report.passed, report.to_json_dict()))
         elif check == "witness":
-            details = {
-                "entries": len(witness.entries),
-                "max_membership_residual": witness.max_membership_residual,
-                "max_w_in_space_residual": witness.max_w_in_space_residual,
-                "per_entry_residuals": [
-                    [e.membership_residual, e.w_in_space_residual]
-                    for e in witness.entries
-                ],
-            }
-            outcomes.append(
-                CheckOutcome("witness", witness.passed(WITNESS_KERNEL_TOL), details)
-            )
+            outcomes.append(CheckOutcome("witness", witness.passed, witness.to_json_dict()))
         else:
             rep = check_corollary(inst)
             outcomes.append(CheckOutcome("cgp", rep.passed, rep.to_json_dict()))

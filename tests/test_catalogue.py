@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from conftest import count_calls
+from neartoep import catalogue, runner
 from neartoep.catalogue import (
     MIN_CATALOGUE_TRUNCATION,
     catalogue_ids,
@@ -52,3 +54,13 @@ def test_catalogue_is_deterministic():
     first = [r.to_json_dict() for r in run_catalogue()]
     second = [r.to_json_dict() for r in run_catalogue()]
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+def test_each_row_runs_at_most_one_stability_audit(monkeypatch):
+    # A row that reads both a representation and a defect check shares one
+    # 2N audit between them.
+    audits = count_calls(monkeypatch, runner, "stability_summary")
+    for row_id, _, fn in catalogue._ROWS:
+        before = len(audits)
+        fn(MIN_CATALOGUE_TRUNCATION)
+        assert len(audits) - before <= 1, row_id

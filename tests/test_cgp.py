@@ -233,9 +233,10 @@ def test_split_selector_value():
     v = AnalyticSeries.from_coeffs([0, -1.0], 16)
     u = AnalyticSeries.from_coeffs([1.0], 16)
     # u has no part above theta: u_theta = 0, so the selector stays 1
-    assert w_theta(theta_exp, v, AnalyticSeries.zero(16)) == pytest.approx(1.0)
+    theta_v = multiply_analytic(theta_exp, v)
+    assert w_theta(theta_v, AnalyticSeries.zero(16)) == pytest.approx(1.0)
     # pairing <theta v, u> shifts the selector by that inner product
-    assert w_theta(theta_exp, v, u) == pytest.approx(1.0 + 0.0)
+    assert w_theta(theta_v, u) == pytest.approx(1.0 + 0.0)
 
 
 def test_generic_head_gap_persists():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, disk_invertible_poly, linalg_calls, seeded_perturbation
-from neartoep import subspaces
+from neartoep import defects, subspaces
 from neartoep.blaschke import BlaschkeProduct, blaschke_expand
 from neartoep.cli import main
 from neartoep.defects import Instance
@@ -292,6 +292,59 @@ def test_cli_defect_command(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["passed"] is True
     assert payload["defect"]["defect_dim"] <= payload["defect"]["bound_from_theorem"]
+
+
+def annihilator_scenario_dict():
+    # zero symbol: the kernel is cofinite, so the defect check judges many witnesses
+    data = basic_scenario_dict("annihilator")
+    data["symbol"] = {"tag": "zero"}
+    return data
+
+
+def test_cli_defect_exits_one_when_a_witness_fails(tmp_path, capsys, monkeypatch):
+    # Offset witnesses leave S*h + w outside the kernel; the defect
+    # prediction itself does not read them and still passes.
+    original = defects.defect_witnesses
+
+    def offset(inst, hs, kernel_tol):
+        return original(inst, hs, kernel_tol) + 1e-3
+
+    monkeypatch.setattr(defects, "defect_witnesses", offset)
+    path = write(tmp_path, "scenario.json", annihilator_scenario_dict())
+    out = tmp_path / "defect.json"
+    assert main(["defect", path, "--json-out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+    payload = json.loads(out.read_text())
+    assert payload["passed"] is False
+    assert payload["defect"]["contained_in_theorem_space"] is True
+    assert payload["witness"]["entries"] > 0
+    assert payload["witness"]["max_membership_residual"] > 1e-8
+
+
+WITNESS_JSON_KEYS = {
+    "entries", "max_membership_residual", "max_w_in_space_residual", "per_entry_residuals",
+}
+
+
+def test_witness_record_has_one_json_form(tmp_path, capsys):
+    path = write(tmp_path, "scenario.json", annihilator_scenario_dict())
+    defect_out, run_out = tmp_path / "defect.json", tmp_path / "run.json"
+    assert main(["defect", path, "--json-out", str(defect_out)]) == 0
+    assert main(["run", path, "--no-stabilize", "--json-out", str(run_out)]) == 0
+    witness = json.loads(defect_out.read_text())["witness"]
+    outcomes = json.loads(run_out.read_text())["scenarios"][0]["outcomes"]
+    assert witness == next(o["details"] for o in outcomes if o["check"] == "witness")
+    assert set(witness) == WITNESS_JSON_KEYS
+    assert witness["entries"] == len(witness["per_entry_residuals"]) > 0
+    paper_out = tmp_path / "catalogue.json"
+    main(["verify-paper", "--truncation", "64", "--json-out", str(paper_out)])
+    rows = json.loads(paper_out.read_text())["rows"]
+    defect_rows = [r for r in rows if "defect" in r["details"]]
+    assert {r["row_id"] for r in rows if r["row_id"].startswith("defect-")} < {
+        r["row_id"] for r in defect_rows
+    }
+    for row in defect_rows:
+        assert set(row["details"]["witness"]) == WITNESS_JSON_KEYS, row["row_id"]
 
 
 def test_cli_kernel_command(tmp_path, capsys):

@@ -13,6 +13,7 @@ from conftest import (
 from neartoep import catalogue, defects, operators, series, subspaces
 from neartoep.blaschke import BlaschkeProduct, blaschke_expand
 from neartoep.defects import (
+    WITNESS_KERNEL_TOL,
     Instance,
     WitnessEntry,
     WitnessReport,
@@ -362,11 +363,13 @@ def test_batched_witnesses_match_the_per_h_construction(case):
         assert bool(inst.lambda_set) == (case == "conj_inner")
     report, witness = check_defect_theorem(inst, CONTAINMENT_TOL, WITNESS_TOL)
     worst, expected = _reference_check(inst)
-    assert report.passed and witness.passed(WITNESS_TOL)
+    assert report.passed and witness.passed
     assert len(witness.entries) == len(expected) > 0
     assert abs(report.max_residual_outside_theorem_space - worst) <= 1e-14
-    for entry, (w, membership, w_resid) in zip(witness.entries, expected):
-        assert np.linalg.norm(entry.witness.coeffs - w) <= 1e-12 * np.linalg.norm(w)
+    # The report keeps residuals only; the vectors it judged are the batch.
+    ws = defect_witnesses(inst, inst.vanishing.frame)
+    for j, (entry, (w, membership, w_resid)) in enumerate(zip(witness.entries, expected)):
+        assert np.linalg.norm(ws[:, j] - w) <= 1e-12 * np.linalg.norm(w)
         assert abs(entry.membership_residual - membership) <= 1e-14
         assert abs(entry.w_in_space_residual - w_resid) <= 1e-14
     h = AnalyticSeries(inst.vanishing.frame[:, 0].copy(), N)
@@ -543,12 +546,12 @@ def test_trivial_kernel_gives_an_empty_witness_report():
 
 
 def test_witness_pass_rule_is_strict():
-    zero = AnalyticSeries.zero(4)
-    report = WitnessReport((WitnessEntry(zero, 1e-8, 0.0), WitnessEntry(zero, 0.0, 5e-9)))
-    assert not report.passed(1e-8)
-    assert report.passed(1.0000001e-8)
-    assert not WitnessReport((WitnessEntry(zero, 0.0, 2e-8),)).passed(2e-8)
-    assert WitnessReport(()).passed(1e-8)
+    tol = WITNESS_KERNEL_TOL
+    below = np.nextafter(tol, 0.0)
+    assert not WitnessReport((WitnessEntry(tol, 0.0), WitnessEntry(0.0, below))).passed
+    assert not WitnessReport((WitnessEntry(0.0, tol),)).passed
+    assert WitnessReport((WitnessEntry(below, 0.0), WitnessEntry(0.0, below))).passed
+    assert WitnessReport(()).passed
 
 
 def test_defect_matches_brute_force_on_small_case():
