@@ -706,7 +706,7 @@ def check_corollary(
     clauses_fwd, null_fwd, big_fwd = _tuple_space(frame, cap_fwd, rank_tol)
     k_dim = null_fwd.shape[1]
     image = span((big_fwd @ null_fwd).T, truncation, rank_tol)
-    forward_max = float(np.linalg.norm(inst.operator.entries @ image.frame, 2))
+    forward_max = float(np.linalg.norm(inst.apply(image.frame), 2))
     # S* moves every slot block of a tuple down one coefficient.
     blocks = null_fwd.reshape(frame.slot_count, cap_fwd, k_dim)
     shifted = np.zeros_like(blocks)

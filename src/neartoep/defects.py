@@ -46,6 +46,7 @@ from .subspaces import (
     project,
     rank_cut,
     relative_residuals,
+    residuals_outside_sum,
     span,
     vanish_at_zero,
 )
@@ -147,6 +148,37 @@ class Instance:
     def kernel(self) -> Subspace:
         return kernel_subspace(self.operator, self.rank_tol, column_cap=self.column_cap)
 
+    def apply(self, cols: np.ndarray) -> np.ndarray:
+        """R X for an N x k block X.
+
+        The zero symbol's operator is exactly V U^H, so its product is
+        V (U^H X) in O(N k r) and builds no operator; the other families
+        take the dense product.
+        """
+        if isinstance(self.symbol, ZeroSymbol):
+            n, pert = self.truncation, self.perturbation
+            return pert.v_matrix(n) @ (pert.u_matrix(n).conj().T @ cols)
+        return self.operator.entries @ cols
+
+    @cached_property
+    def zero_complement(self) -> np.ndarray:
+        """The zero symbol's window complement from the r-wide side, cap x rank.
+
+        R = V U^H, so with the thin QR U[:cap] = Q R_u the window R[:, :cap]
+        is B Q^H for the N x r matrix B = V R_u^H.  The window's singular
+        values are B's, so kernel_subspace's cut sees the same values even
+        when the v_i differ greatly in norm, and its range-side right
+        singular vectors are Q times B's.  The kernel is the window's part
+        orthogonal to this frame: dim cap - rank, with nothing beyond the
+        window.  Neither the operator nor an N-wide SVD is formed.
+        """
+        n, pert = self.truncation, self.perturbation
+        q, r_u = np.linalg.qr(pert.u_matrix(n)[: self.column_cap])
+        _, s, vh = np.linalg.svd(pert.v_matrix(n) @ r_u.conj().T, full_matrices=False)
+        out = q @ vh[: rank_cut(s, self.rank_tol)].conj().T
+        out.setflags(write=False)
+        return out
+
     @cached_property
     def vanishing(self) -> Subspace:
         """Kernel members with vanishing constant coefficient."""
@@ -239,7 +271,8 @@ class Instance:
         kernel_subspace's does.  The tail is the largest norm beyond the
         window of a unit kernel vector; the window holds the kernel only
         while it is below rank_tol.  Zero and trigonometric-polynomial
-        symbols have no such reduction and return the SVD kernel, tail 0.
+        symbols return the SVD kernel, tail 0; the 2N audit reads the zero
+        symbol's zero_complement instead.
         """
         sym, n, cap = self.symbol, self.truncation, self.column_cap
         if not isinstance(sym, (InnerSymbol, InvertibleProductSymbol, ConjInnerSymbol)):
@@ -393,7 +426,7 @@ def defect_witnesses(
     scale = kernel_tol * np.maximum(1.0, np.linalg.norm(hs, axis=0))
     if np.any(np.abs(hs[0]) > scale):
         raise HypothesisViolationError("witness needs h(0) = 0")
-    if np.any(np.linalg.norm(inst.operator.entries @ hs, axis=0) > scale):
+    if np.any(np.linalg.norm(inst.apply(hs), axis=0) > scale):
         raise HypothesisViolationError("witness needs h in the kernel")
     if not inst.perturbation.terms:
         return np.zeros_like(hs)
@@ -473,18 +506,18 @@ def check_defect_theorem(
     """End-to-end check of the defect prediction on an instance's kernel.
 
     Failures land in the report fields; only malformed inputs raise.
-    witness_tol is the hypothesis tolerance of defect_witnesses; the
-    witness pass rule is WitnessReport.passed.
+    Containment measures each residual direction outside M + F from the
+    part of F orthogonal to M (residuals_outside_sum), and kernel
+    membership of every S*h + w is one Instance.apply.  witness_tol is the
+    hypothesis tolerance of defect_witnesses; the witness pass rule is
+    WitnessReport.passed.
     """
     _require_defect_case(inst.symbol)
-    n = inst.truncation
-    m = inst.kernel
     base = inst.defect
     f_space = inst.defect_space
     # S*M sits inside M + F; residual directions are orthogonal to M already,
-    # so containment is tested against the joint span, not F alone.
-    joint = span(np.hstack((m.frame, f_space.frame)).T, n, rank_tol=inst.rank_tol)
-    outside = relative_residuals(joint, base.residual_frame.frame)
+    # so containment is tested against M + F, not F alone.
+    outside = residuals_outside_sum(inst.kernel, f_space, base.residual_frame.frame)
     worst_outside = float(outside.max(initial=0.0))
     report = DefectReport(
         defect_dim=base.defect_dim,
@@ -498,7 +531,7 @@ def check_defect_theorem(
     ws = defect_witnesses(inst, hs, kernel_tol=witness_tol)
     candidates = _backshift_columns(hs) + ws
     scale = np.maximum(1.0, np.linalg.norm(candidates, axis=0))
-    membership = np.linalg.norm(inst.operator.entries @ candidates, axis=0) / scale
+    membership = np.linalg.norm(inst.apply(candidates), axis=0) / scale
     w_resid = relative_residuals(f_space, ws)
     entries = tuple(
         WitnessEntry(float(m_res), float(w_res)) for m_res, w_res in zip(membership, w_resid)

@@ -25,10 +25,11 @@ from .operators import (
     PerturbationSpec,
     Symbol,
     TrigPolySymbol,
+    ZeroSymbol,
     symbol_from_json,
 )
 from .series import COEFF_TRIM_TOL
-from .subspaces import DEFAULT_RANK_TOL, minimal_defect, vanish_at_zero
+from .subspaces import DEFAULT_RANK_TOL, complement_defect_dim, minimal_defect, vanish_at_zero
 
 VALID_CHECKS = ("kernel", "defect", "witness", "cgp")
 DEFAULT_TRUNCATION = 128
@@ -190,20 +191,34 @@ def kernel_profile(inst: Instance) -> tuple[int, int, int]:
     return inst.kernel.dim, inst.column_cap, inst.defect.defect_dim
 
 
+def structured_profile(inst: Instance) -> tuple[int, int, int, float]:
+    """(kernel dim, column cap, defect dim, window tail) from the operator's structure.
+
+    The zero symbol's kernel is cofinite, so only its r-wide window
+    complement is formed: the kernel has dim cap - rank and tail 0, and the
+    defect dim comes from the complement alone.  Every other family reads
+    structured_kernel and its minimal defect.
+    """
+    cap = inst.column_cap
+    if isinstance(inst.symbol, ZeroSymbol):
+        comp = inst.zero_complement
+        return cap - comp.shape[1], cap, complement_defect_dim(comp, inst.rank_tol), 0.0
+    m, tail = inst.structured_kernel
+    return m.dim, cap, minimal_defect(m, vanish_at_zero(m)).defect_dim, tail
+
+
 def stability_summary(inst: Instance) -> dict:
     """Kernel and defect dimensions at the working order and at its double.
 
     Finite kernels must repeat their dimension; annihilator-style symbols
     have cofinite kernels, for which the codimension inside the scan
     window is the stable quantity instead.  The working order reads the
-    SVD kernel the checks measure; the double reads the structured kernel,
-    whose tail beyond the window must also stay below rank_tol.
+    SVD kernel the checks measure; the double reads structured_profile
+    (for the zero symbol no 2N operator, kernel frame or vanishing frame),
+    and the tail beyond the window must also stay below rank_tol.
     """
     d1, c1, f1 = kernel_profile(inst)
-    doubled = inst.doubled
-    m2, tail = doubled.structured_kernel
-    d2, c2 = m2.dim, doubled.column_cap
-    f2 = minimal_defect(m2, vanish_at_zero(m2)).defect_dim
+    d2, c2, f2, tail = structured_profile(inst.doubled)
     stable = (d1 == d2 or c1 - d1 == c2 - d2) and f1 == f2 and tail <= inst.rank_tol
     return {
         "kernel_dim": d1,

@@ -230,9 +230,32 @@ def relative_residuals(m: Subspace, cols: np.ndarray) -> np.ndarray:
     """contains' relative residual for every column of cols; zero columns give 0."""
     if cols.ndim != 2 or cols.shape[0] != m.truncation:
         raise InputError("column truncation disagrees with subspace")
+    return _relative_norms(cols - m.frame @ (m.frame.conj().T @ cols), cols)
+
+
+def _relative_norms(outside: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Column norms of outside over those of cols, 0 where a column of cols is zero."""
     norms = np.linalg.norm(cols, axis=0)
-    resid = np.linalg.norm(cols - m.frame @ (m.frame.conj().T @ cols), axis=0)
+    resid = np.linalg.norm(outside, axis=0)
     return np.divide(resid, norms, out=np.zeros_like(resid), where=norms > 0)
+
+
+def residuals_outside_sum(m: Subspace, f: Subspace, cols: np.ndarray) -> np.ndarray:
+    """Relative residual of every column of cols outside M + F; zero columns give 0.
+
+    The part of F orthogonal to M, G = F - M (M^H F), is N x dim F; its
+    left singular vectors above rank_cut's cut (floor 1, since F's frame is
+    orthonormal and G's values are at most one) complete M to a frame of
+    M + F.  This is O(N dim M dim F) work, with no SVD of the N x
+    (dim M + dim F) joint span.
+    """
+    if cols.ndim != 2 or cols.shape[0] != m.truncation or f.truncation != m.truncation:
+        raise InputError("column truncation disagrees with subspace")
+    g = f.frame - m.frame @ (m.frame.conj().T @ f.frame)
+    u, s, _ = np.linalg.svd(g, full_matrices=False)
+    g = u[:, : rank_cut(s, m.rank_tol, floor=1.0)]
+    outside = cols - m.frame @ (m.frame.conj().T @ cols) - g @ (g.conj().T @ cols)
+    return _relative_norms(outside, cols)
 
 
 def project(m: Subspace, f: AnalyticSeries) -> AnalyticSeries:
@@ -364,3 +387,31 @@ def minimal_defect(m: Subspace, w: Subspace) -> DefectReport:
         Subspace(_fix_phases(frame), m.truncation, tol),
         tuple(float(x) for x in s),
     )
+
+
+def complement_defect_dim(comp: np.ndarray, rank_tol: float) -> int:
+    """minimal_defect's defect dim for the window kernel whose complement frame is comp.
+
+    comp is an orthonormal cap x rank frame C, and the kernel is the part
+    of the window [0, cap) orthogonal to it, with projector P = I - C C^H.
+    Its members vanishing at 0 have projector P - q q^H for q the unit
+    vector of P e0, or P itself when |P e0| <= rank_tol, vanish_at_zero's
+    rule.  C^H S* (P - q q^H) is minimal_defect's matrix C^H S* W times W^H,
+    so it has the same nonzero singular values and the same cut.  Its
+    adjoint (P - q q^H) S C is formed from C alone, cap x rank, in
+    O(cap rank^2), with no kernel frame.
+    """
+    cap, rank = comp.shape
+    if rank == 0:
+        return 0
+    # S C on the window: each column moves up one degree, dropping degree cap - 1.
+    shifted = np.zeros((cap, rank), dtype=np.complex128)
+    shifted[1:] = comp[:-1]
+    mat = shifted - comp @ (comp.conj().T @ shifted)
+    q = -(comp @ comp[0].conj())
+    q[0] += 1.0
+    norm = np.linalg.norm(q)
+    if norm > rank_tol:
+        q /= norm
+        mat -= np.outer(q, q.conj() @ shifted)
+    return rank_cut(np.linalg.svd(mat, compute_uv=False), rank_tol, floor=1.0)

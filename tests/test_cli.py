@@ -167,6 +167,19 @@ def test_doubled_audit_of_a_conj_inner_instance_svds_only_small_systems(monkeypa
     assert widths and max(widths) <= pert.rank_bound + theta.degree()
 
 
+def test_doubled_audit_of_a_zero_symbol_instance_svds_only_r_wide_blocks(monkeypatch):
+    pert = seeded_perturbation(np.random.default_rng(101), N, rank=2, max_degree=6)
+    inst = Instance(ZeroSymbol(), pert, N)
+    kernel_profile(inst)  # the N side, whose SVD kernel the checks measure
+    calls = linalg_calls(monkeypatch, "svd")
+    assert stability_summary(inst)["stable_at_double"]
+    widths = [args[0].shape[1] for args, _ in calls]
+    # An SVD of the 2N window would be N columns wide.
+    assert widths and max(widths) <= pert.rank_bound
+    # Nor is the 2N operator, kernel frame or vanishing frame built.
+    assert not {"operator", "kernel", "vanishing"} & set(inst.doubled.__dict__)
+
+
 def test_run_suite_rejects_duplicate_ids():
     scenario = scenarios_from_json(basic_scenario_dict())[0]
     with pytest.raises(InputError, match="duplicate"):

@@ -377,6 +377,56 @@ def test_batched_witnesses_match_the_per_h_construction(case):
     assert np.linalg.norm(single - expected[0][0]) <= 1e-12 * np.linalg.norm(expected[0][0])
 
 
+def _joint_span_residuals(inst):
+    """Containment residuals of the defect directions from the SVD of the
+    joint span [M F]: the reference for the check's M + F residuals."""
+    m, f_space = inst.kernel, inst.defect_space
+    joint = span(np.hstack((m.frame, f_space.frame)).T, inst.truncation, inst.rank_tol)
+    return subspaces.relative_residuals(joint, inst.defect.residual_frame.frame)
+
+
+FAMILY_CASES = ["zero", "inner", "invertible", "conj_inner"]
+
+
+@pytest.mark.parametrize("case", FAMILY_CASES)
+def test_containment_matches_the_joint_span_reference(case):
+    inst = _equivalence_instance(case)
+    expected = _joint_span_residuals(inst)
+    got = subspaces.residuals_outside_sum(
+        inst.kernel, inst.defect_space, inst.defect.residual_frame.frame
+    )
+    report, _ = check_defect_theorem(inst)
+    assert inst.defect.defect_dim == got.size > 0
+    assert float(np.max(np.abs(got - expected))) <= 1e-12
+    assert abs(report.max_residual_outside_theorem_space - float(expected.max())) <= 1e-12
+
+
+@pytest.mark.parametrize("case", FAMILY_CASES)
+def test_containment_fails_when_f_loses_a_direction(monkeypatch, case):
+    assert check_defect_theorem(_equivalence_instance(case))[0].contained_in_theorem_space
+    inst = _equivalence_instance(case)
+    full = theorem_defect_space(inst)
+    reduced = subspaces.Subspace(full.frame[:, 1:], full.truncation, full.rank_tol)
+    monkeypatch.setattr(Instance, "defect_space", property(lambda self: reduced))
+    report, _ = check_defect_theorem(inst)
+    assert report.defect_dim >= 1
+    assert not report.contained_in_theorem_space
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["seeded", "empty"])
+@pytest.mark.parametrize("case", FAMILY_CASES)
+def test_apply_matches_the_dense_operator(case, empty):
+    inst = _equivalence_instance(case)
+    if empty:
+        inst = Instance(inst.symbol, PerturbationSpec(()), N)
+    rng = np.random.default_rng(909)
+    cols = rng.standard_normal((N, 5)) + 1j * rng.standard_normal((N, 5))
+    got = inst.apply(cols)
+    expected = inst.operator.entries @ cols
+    assert got.shape == expected.shape
+    assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
 def _conj_toeplitz_series(f, h):
     """T_conj(f) h as a product of circle series, one vector at a time."""
     return riesz_project(multiply(conj_on_circle(f), embed(h)))

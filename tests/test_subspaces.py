@@ -22,6 +22,7 @@ from neartoep.subspaces import (
     minimal_defect,
     principal_angles,
     project,
+    residuals_outside_sum,
     span,
     vanish_at_zero,
 )
@@ -440,3 +441,29 @@ def test_defect_svd_sees_only_the_complement_coordinates(monkeypatch):
     assert inst.defect.defect_dim == 2
     # one (cap - dim M) x dim W matrix, here 2 x 29, never an N-row block
     assert [args[0].shape for args, _ in calls] == [(inst.column_cap - m.dim, w.dim)]
+
+
+def test_residuals_outside_sum_vanish_on_the_sum_and_measure_what_sticks_out():
+    rng = np.random.default_rng(12)
+    n = 40
+
+    def frame(k):
+        return np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
+
+    m = Subspace(frame(6), n)
+    # F shares one direction with M, so the sum has dim 6 + 3 - 1.
+    f_cols = np.column_stack([m.frame[:, :1], frame(2)])
+    f = Subspace(np.linalg.qr(f_cols)[0], n)
+    inside = m.frame @ rng.standard_normal((6, 4)) + f.frame @ rng.standard_normal((3, 4))
+    assert float(residuals_outside_sum(m, f, inside).max()) <= 1e-14
+    joint = span(np.hstack((m.frame, f.frame)).T, n)
+    assert joint.dim == 8
+    probe = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    probe[:, 2] = 0.0
+    expected = np.linalg.norm(probe - joint.frame @ (joint.frame.conj().T @ probe), axis=0)
+    expected[:2] /= np.linalg.norm(probe[:, :2], axis=0)
+    got = residuals_outside_sum(m, f, probe)
+    assert np.max(np.abs(got - expected)) <= 1e-13 and got[2] == 0.0
+    empty = Subspace.zero(n)
+    assert np.allclose(residuals_outside_sum(empty, f, probe[:, :2]),
+                       residuals_outside_sum(f, empty, probe[:, :2]), atol=1e-14)
