@@ -25,6 +25,7 @@ from .operators import (
     OperatorMatrix,
     PerturbationSpec,
     Symbol,
+    TrigPolySymbol,
     ZeroSymbol,
     perturbed_matrix,
     symbol_fourier,
@@ -39,6 +40,7 @@ from .series import (
 )
 from .subspaces import (
     DEFAULT_RANK_TOL,
+    ZERO_OPERATOR_FLOOR,
     DefectReport,
     Subspace,
     kernel_subspace,
@@ -60,7 +62,8 @@ WITNESS_KERNEL_TOL = 1e-8
 # Largest relative residual of a minimal-defect direction outside M + F.
 CONTAINMENT_TOL = 1e-7
 
-_DEFECT_CASES = (ZeroSymbol, InnerSymbol, InvertibleProductSymbol, ConjInnerSymbol)
+_STRUCTURED_CASES = (InnerSymbol, InvertibleProductSymbol, ConjInnerSymbol)
+_DEFECT_CASES = (ZeroSymbol, *_STRUCTURED_CASES)
 
 
 def _require_defect_case(sym: Symbol) -> None:
@@ -139,45 +142,95 @@ class Instance:
 
     @cached_property
     def operator(self) -> OperatorMatrix:
+        """The dense N x N matrix of R.
+
+        Only trigonometric-polynomial symbols read it (kernel and apply);
+        the four defect families work from the symbol's structure.
+        """
         return perturbed_matrix(
             toeplitz_matrix(symbol_fourier(self.symbol, self.truncation)),
             self.perturbation,
         )
 
     @cached_property
-    def kernel(self) -> Subspace:
-        return kernel_subspace(self.operator, self.rank_tol, column_cap=self.column_cap)
-
-    def apply(self, cols: np.ndarray) -> np.ndarray:
-        """R X for an N x k block X.
-
-        The zero symbol's operator is exactly V U^H, so its product is
-        V (U^H X) in O(N k r) and builds no operator; the other families
-        take the dense product.
-        """
-        if isinstance(self.symbol, ZeroSymbol):
-            n, pert = self.truncation, self.perturbation
-            return pert.v_matrix(n) @ (pert.u_matrix(n).conj().T @ cols)
-        return self.operator.entries @ cols
+    def u_matrix(self) -> np.ndarray:
+        """U: the u_i as columns, N x r, read-only."""
+        return _read_only(self.perturbation.u_matrix(self.truncation))
 
     @cached_property
+    def v_matrix(self) -> np.ndarray:
+        """V: the v_i as columns, N x r, read-only."""
+        return _read_only(self.perturbation.v_matrix(self.truncation))
+
+    @cached_property
+    def kernel(self) -> Subspace:
+        """The kernel on the column window [0, N // 2).
+
+        The four defect families read structured_kernel; only
+        trigonometric-polynomial symbols take the SVD of the N x N // 2
+        window of the operator (kernel_subspace).
+        """
+        if isinstance(self.symbol, TrigPolySymbol):
+            return kernel_subspace(self.operator, self.rank_tol, column_cap=self.column_cap)
+        return self.structured_kernel[0]
+
+    @property
+    def kernel_cut(self) -> float:
+        """The threshold below which the kernel's svals counted as zero.
+
+        rank_tol * max(1, s0) for the small systems of structured_kernel
+        (_null_space's floor), rank_tol * s0 for window values.
+        """
+        floor = 1.0 if isinstance(self.symbol, _STRUCTURED_CASES) else 0.0
+        return self.rank_tol * max(floor, max(self.kernel.svals, default=0.0))
+
+    def apply(self, cols: np.ndarray) -> np.ndarray:
+        """R X = T_g X + V (U^H X) for an N x k block X, column by column.
+
+        T_g X is theta x for an inner symbol, T_conj(theta) x for a
+        conjugate-inner one, and T_conj(f2) applied to the full product
+        f1 x for g = f1 conj(f2): T_g = T_conj(f2) T_f1 reads f1 x up to
+        degree N - 1 + deg f2, so cutting it to N first would lose terms.
+        The zero symbol has no T_g term.  Only trigonometric-polynomial
+        symbols take the dense product.
+        """
+        sym = self.symbol
+        if isinstance(sym, TrigPolySymbol):
+            return self.operator.entries @ cols
+        out = self.v_matrix @ (self.u_matrix.conj().T @ cols)
+        if isinstance(sym, InnerSymbol):
+            out += _multiply_columns(self.theta.coeffs, cols)
+        elif isinstance(sym, ConjInnerSymbol):
+            out += _conj_toeplitz_columns(self.theta.coeffs, cols)
+        elif isinstance(sym, InvertibleProductSymbol):
+            n = self.truncation
+            f1, f2 = (f.resized(n) for f in (sym.f1, sym.f2))
+            f1, f2 = (f.coeffs[: f.degree(0.0) + 1] for f in (f1, f2))
+            full = _multiply_columns(f1, cols, rows=n + f2.size - 1)
+            out += _conj_toeplitz_columns(f2, full, rows=n)
+        return out
+
+    @cached_property
+    def _zero_window(self) -> tuple[np.ndarray, np.ndarray]:
+        """B's singular values and zero_complement (zero symbol only)."""
+        q, r_u = np.linalg.qr(self.u_matrix[: self.column_cap])
+        _, s, vh = np.linalg.svd(self.v_matrix @ r_u.conj().T, full_matrices=False)
+        return s, _read_only(q @ vh[: rank_cut(s, self.rank_tol)].conj().T)
+
+    @property
     def zero_complement(self) -> np.ndarray:
         """The zero symbol's window complement from the r-wide side, cap x rank.
 
         R = V U^H, so with the thin QR U[:cap] = Q R_u the window R[:, :cap]
         is B Q^H for the N x r matrix B = V R_u^H.  The window's singular
-        values are B's, so kernel_subspace's cut sees the same values even
-        when the v_i differ greatly in norm, and its range-side right
-        singular vectors are Q times B's.  The kernel is the window's part
-        orthogonal to this frame: dim cap - rank, with nothing beyond the
-        window.  Neither the operator nor an N-wide SVD is formed.
+        values are B's, so the rank cut sees the same values as an SVD of
+        the window even when the v_i differ greatly in norm, and its
+        range-side right singular vectors are Q times B's.  The kernel is
+        the window's part orthogonal to this frame: dim cap - rank, with
+        nothing beyond the window.  Neither the operator nor an N-wide SVD
+        is formed.
         """
-        n, pert = self.truncation, self.perturbation
-        q, r_u = np.linalg.qr(pert.u_matrix(n)[: self.column_cap])
-        _, s, vh = np.linalg.svd(pert.v_matrix(n) @ r_u.conj().T, full_matrices=False)
-        out = q @ vh[: rank_cut(s, self.rank_tol)].conj().T
-        out.setflags(write=False)
-        return out
+        return self._zero_window[1]
 
     @cached_property
     def vanishing(self) -> Subspace:
@@ -233,16 +286,12 @@ class Instance:
     @cached_property
     def corrected_v(self) -> np.ndarray:
         """C V: the corrector applied to each v_i, N x r (not for g = 0)."""
-        out = self._corrected(self.perturbation.v_matrix(self.truncation))
-        out.setflags(write=False)
-        return out
+        return _read_only(self._corrected(self.v_matrix))
 
     @cached_property
     def pairing(self) -> np.ndarray:
         """U^H C V, r x r: entry (i, j) is <C v_j, u_i> (not for g = 0)."""
-        out = self.perturbation.u_matrix(self.truncation).conj().T @ self.corrected_v
-        out.setflags(write=False)
-        return out
+        return _read_only(self.u_matrix.conj().T @ self.corrected_v)
 
     @cached_property
     def shifted_images(self) -> np.ndarray:
@@ -251,16 +300,17 @@ class Instance:
         F is spanned by the columns (plus model parts), and a witness
         combines them with the weights <h, u_i>.
         """
-        out = self._corrected(_backshift_columns(self.perturbation.v_matrix(self.truncation)))
-        out.setflags(write=False)
-        return out
+        return _read_only(self._corrected(_backshift_columns(self.v_matrix)))
 
     @cached_property
     def structured_kernel(self) -> tuple[Subspace, float]:
         """The window kernel solved from the operator's structure, and its tail.
 
+        The zero symbol's R = V U^H, so its kernel is the window's part
+        orthogonal to zero_complement, of dim cap - rank and tail 0; its
+        svals are B's padded by exact zeros, which are the window's own.
         With U, V holding the u_i, v_i, K the model-space frame and C the
-        corrector, R x = 0 reduces to a small system in c = U^H x:
+        corrector, R x = 0 otherwise reduces to a small system in c = U^H x:
         - inner theta: theta x = -V c, so V c lies in theta H^2
           (K^H V c = 0), x = -C V c and (I + U^H C V) c = 0;
         - invertible f1 conj(f2): x = -C V c and (I + U^H C V) c = 0;
@@ -268,34 +318,48 @@ class Instance:
           ker T_conj(theta), and (I + U^H C V) c = U^H K b.
         The solutions are orthonormalized over all N coefficients and cut
         to the column window [0, N // 2), which carries its complement as
-        kernel_subspace's does.  The tail is the largest norm beyond the
-        window of a unit kernel vector; the window holds the kernel only
-        while it is below rank_tol.  Zero and trigonometric-polynomial
-        symbols return the SVD kernel, tail 0; the 2N audit reads the zero
-        symbol's zero_complement instead.
+        kernel_subspace's does; svals are the system's singular values, one
+        per unknown (exact zeros pad a wide system).  The tail is the
+        largest norm beyond the window of a unit kernel vector; the window
+        holds the kernel only while it is below rank_tol.
+        Trigonometric-polynomial symbols return their SVD kernel, tail 0.
         """
         sym, n, cap = self.symbol, self.truncation, self.column_cap
-        if not isinstance(sym, (InnerSymbol, InvertibleProductSymbol, ConjInnerSymbol)):
+        if isinstance(sym, TrigPolySymbol):
             return self.kernel, 0.0
+        if isinstance(sym, ZeroSymbol):
+            s, comp = self._zero_window
+            svals = np.pad(s, (0, cap - s.size))
+            rank = comp.shape[1]
+            frame = np.zeros((n, cap - rank), dtype=np.complex128)
+            frame[:cap] = np.linalg.qr(comp, mode="complete")[0][:, rank:]
+            kernel = Subspace(
+                frame, n, self.rank_tol, degenerate=svals[0] <= ZERO_OPERATOR_FLOOR,
+                svals=tuple(svals), complement=comp,
+            )
+            return kernel, 0.0
         cv = self.corrected_v
         i_plus = np.eye(cv.shape[1]) + self.pairing
         if isinstance(sym, InvertibleProductSymbol):
             system, solutions = i_plus, cv
         elif isinstance(sym, InnerSymbol):
-            v = self.perturbation.v_matrix(n)
-            system, solutions = np.vstack((self.k_theta.frame.conj().T @ v, i_plus)), cv
+            system = np.vstack((self.k_theta.frame.conj().T @ self.v_matrix, i_plus))
+            solutions = cv
         else:
             k = self.k_theta.frame
-            u = self.perturbation.u_matrix(n)
-            system = np.hstack((i_plus, -(u.conj().T @ k)))
+            system = np.hstack((i_plus, -(self.u_matrix.conj().T @ k)))
             solutions = np.hstack((-cv, k))
-        q, _ = np.linalg.qr(solutions @ _null_space(system, self.rank_tol))
+        null, svals = _null_space(system, self.rank_tol)
+        q, _ = np.linalg.qr(solutions @ null)
         dim = q.shape[1]
         tail = float(np.linalg.norm(q[cap:], 2)) if dim else 0.0
         window = np.linalg.qr(q[:cap], mode="complete")[0]
         frame = np.zeros((n, dim), dtype=np.complex128)
         frame[:cap] = window[:, :dim]
-        return Subspace(frame, n, self.rank_tol, complement=window[:, dim:]), tail
+        kernel = Subspace(
+            frame, n, self.rank_tol, svals=tuple(svals), complement=window[:, dim:]
+        )
+        return kernel, tail
 
     @cached_property
     def negative_frame(self) -> np.ndarray:
@@ -327,8 +391,7 @@ class Instance:
         theta_q = np.column_stack(
             [np.convolve(self.theta.coeffs, col)[n : 2 * n] for col in q.T]
         )
-        shifted_v = _backshift_columns(self.perturbation.v_matrix(n))
-        return theta_q, q[n : 2 * n].conj().T @ shifted_v
+        return theta_q, q[n : 2 * n].conj().T @ _backshift_columns(self.v_matrix)
 
     @cached_property
     def defect_space(self) -> Subspace:
@@ -369,32 +432,40 @@ def theorem_defect_bound(inst: Instance) -> int:
     return n
 
 
-def _null_space(mat: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Orthonormal null-space frame of a small system.
+def _null_space(mat: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal null-space frame of a small system, and its singular values.
 
     The cut is rank_cut's with floor 1, as in minimal_defect: the systems
     are built from unit-scale data, and a system that is exactly zero has
-    s0 at round-off.
+    s0 at round-off.  The values are padded by exact zeros to one per
+    column, as kernel_subspace's are.
     """
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    return vh[rank_cut(s, rank_tol, floor=1.0) :].conj().T
+    null = vh[rank_cut(s, rank_tol, floor=1.0) :].conj().T
+    return null, np.pad(s, (0, mat.shape[1] - s.size))
 
 
-def _multiply_columns(f: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Multiplication by the analytic f on every column, cut to N coefficients."""
-    n = cols.shape[0]
-    out = np.zeros(cols.shape, dtype=np.complex128)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _multiply_columns(f: np.ndarray, cols: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """Multiplication by the analytic f on every column, cut to rows (default N) coefficients."""
+    rows = cols.shape[0] if rows is None else rows
+    out = np.zeros((rows, cols.shape[1]), dtype=np.complex128)
     for j in range(cols.shape[1]):
-        out[:, j] = np.convolve(f, cols[:, j])[:n]
+        full = np.convolve(f, cols[:, j])[:rows]
+        out[: full.size, j] = full
     return out
 
 
-def _conj_toeplitz_columns(f: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """T_conj(f) on every column: coefficient k is sum_m conj(f[m]) c[k + m]."""
-    n = cols.shape[0]
-    out = np.zeros(cols.shape, dtype=np.complex128)
+def _conj_toeplitz_columns(f: np.ndarray, cols: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """T_conj(f) on every column: coefficient k < rows (default N) is sum_m conj(f[m]) c[k + m]."""
+    rows = cols.shape[0] if rows is None else rows
+    out = np.zeros((rows, cols.shape[1]), dtype=np.complex128)
     for j in range(cols.shape[1]):
-        out[:, j] = np.correlate(cols[:, j], f, "full")[n - 1 :]
+        out[:, j] = np.correlate(cols[:, j], f, "full")[f.size - 1 : f.size - 1 + rows]
     return out
 
 
@@ -430,7 +501,7 @@ def defect_witnesses(
         raise HypothesisViolationError("witness needs h in the kernel")
     if not inst.perturbation.terms:
         return np.zeros_like(hs)
-    u = inst.perturbation.u_matrix(n)
+    u = inst.u_matrix
     shifted = _backshift_columns(hs)
     if isinstance(inst.symbol, ZeroSymbol):
         return -(u @ (u.conj().T @ shifted))

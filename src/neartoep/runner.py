@@ -29,7 +29,7 @@ from .operators import (
     symbol_from_json,
 )
 from .series import COEFF_TRIM_TOL
-from .subspaces import DEFAULT_RANK_TOL, complement_defect_dim, minimal_defect, vanish_at_zero
+from .subspaces import DEFAULT_RANK_TOL, complement_defect_dim
 
 VALID_CHECKS = ("kernel", "defect", "witness", "cgp")
 DEFAULT_TRUNCATION = 128
@@ -197,14 +197,14 @@ def structured_profile(inst: Instance) -> tuple[int, int, int, float]:
     The zero symbol's kernel is cofinite, so only its r-wide window
     complement is formed: the kernel has dim cap - rank and tail 0, and the
     defect dim comes from the complement alone.  Every other family reads
-    structured_kernel and its minimal defect.
+    structured_kernel, which is its kernel, and the instance's minimal defect.
     """
     cap = inst.column_cap
     if isinstance(inst.symbol, ZeroSymbol):
         comp = inst.zero_complement
         return cap - comp.shape[1], cap, complement_defect_dim(comp, inst.rank_tol), 0.0
     m, tail = inst.structured_kernel
-    return m.dim, cap, minimal_defect(m, vanish_at_zero(m)).defect_dim, tail
+    return m.dim, cap, inst.defect.defect_dim, tail
 
 
 def stability_summary(inst: Instance) -> dict:
@@ -213,7 +213,7 @@ def stability_summary(inst: Instance) -> dict:
     Finite kernels must repeat their dimension; annihilator-style symbols
     have cofinite kernels, for which the codimension inside the scan
     window is the stable quantity instead.  The working order reads the
-    SVD kernel the checks measure; the double reads structured_profile
+    kernel the checks measure; the double reads structured_profile
     (for the zero symbol no 2N operator, kernel frame or vanishing frame),
     and the tail beyond the window must also stay below rank_tol.
     """
@@ -285,10 +285,15 @@ class SuiteReport:
 
 
 def kernel_outcome(inst: Instance) -> CheckOutcome:
-    """The kernel check: fails when a singular value sits just above the rank cut."""
+    """The kernel check: fails when a singular value sits just above the rank cut.
+
+    The values are the ones the kernel's rank was cut from: the small
+    system's for the inner, invertible and conjugate-inner symbols, the
+    column window's otherwise.
+    """
     m = inst.kernel
     svals = sorted(m.svals)
-    cut = inst.rank_tol * max(m.svals, default=0.0)
+    cut = inst.kernel_cut
     ambiguous = [s for s in svals if cut <= s < cut * AMBIGUITY_BAND]
     details = {
         "kernel_dim": m.dim,

@@ -103,6 +103,13 @@ def toeplitz_model_space(theta, truncation, rank_tol=1e-9):
     return kernel_subspace(toeplitz_matrix(sym), rank_tol)
 
 
+def svd_kernel(inst):
+    """The dense reference for inst.kernel: the SVD of the operator's column
+    window [0, N // 2), which the library takes only for
+    trigonometric-polynomial symbols."""
+    return kernel_subspace(inst.operator, inst.rank_tol, column_cap=inst.column_cap)
+
+
 def disk_invertible_poly(rng, truncation, max_degree=3):
     """1 + tail with total tail mass below 1, hence zero-free on the disk."""
     degree = int(rng.integers(1, max_degree + 1))

@@ -148,11 +148,15 @@ def test_kernel_check_and_stability_audit_share_one_instance(monkeypatch, checks
     data = basic_scenario_dict()
     data["checks"] = checks
     scenario = scenarios_from_json(data)[0]
-    calls = count_calls(monkeypatch, subspaces, "kernel_subspace")
+    kernels = count_calls(monkeypatch, subspaces, "kernel_subspace")
+    models = count_calls(monkeypatch, defects, "model_space")
     report = run_scenario(scenario, stabilize=True)
     assert report.passed
-    # The scenario's symbol is inner, so the 2N audit reads the structured kernel.
-    assert [args[0].truncation for args, _ in calls] == [N]
+    # The scenario's symbol is inner: every check and the 2N audit read the
+    # structured kernel, which builds K_theta once per truncation, so one
+    # Instance serves each truncation.  No kernel comes from a window SVD.
+    assert [args[1] for args, _ in models] == [N, 2 * N]
+    assert kernels == []
 
 
 def test_doubled_audit_of_a_conj_inner_instance_svds_only_small_systems(monkeypatch):

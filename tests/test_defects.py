@@ -1,5 +1,7 @@
 """Near backward-shift invariance: predicted defect spaces and witnesses."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,10 @@ from conftest import (
     disk_invertible_poly,
     random_blaschke,
     seeded_perturbation,
+    svd_kernel,
     toeplitz_model_space,
 )
-from neartoep import catalogue, defects, operators, series, subspaces
+from neartoep import catalogue, cli, defects, operators, series, subspaces
 from neartoep.blaschke import BlaschkeProduct, blaschke_expand
 from neartoep.defects import (
     WITNESS_KERNEL_TOL,
@@ -38,6 +41,7 @@ from neartoep.operators import (
     symbol_fourier,
     toeplitz_matrix,
 )
+from neartoep.runner import Scenario
 from neartoep.series import (
     AnalyticSeries,
     LaurentSeries,
@@ -197,27 +201,54 @@ def test_unsupported_symbol_rejected():
 CASE_SEEDS = {"zero": 101, "inner": 202, "invertible": 303, "conj_inner": 404}
 
 
-@pytest.mark.parametrize("case", ["zero", "inner", "invertible", "conj_inner"])
-def test_verify_defect_theorem_seeded_instance(case):
+def _seeded_case(case, n=N):
     rng = np.random.default_rng(CASE_SEEDS[case])
-    pert = seeded_perturbation(rng, N, rank=2, max_degree=6)
+    pert = seeded_perturbation(rng, n, rank=2, max_degree=6)
     if case == "zero":
         sym = ZeroSymbol()
     elif case == "inner":
         sym = InnerSymbol(random_blaschke(rng))
     elif case == "invertible":
         sym = InvertibleProductSymbol(
-            disk_invertible_poly(rng, N), disk_invertible_poly(rng, N)
+            disk_invertible_poly(rng, n), disk_invertible_poly(rng, n)
         )
     else:
         sym = ConjInnerSymbol(random_blaschke(rng, max_degree=2))
-    report, witness = verify_defect_theorem(sym, pert, N)
+    return sym, pert
+
+
+@pytest.mark.parametrize(
+    "case, n",
+    [("zero", N), ("inner", N), ("invertible", N), ("conj_inner", 128)],
+    ids=["zero", "inner", "invertible", "conj_inner-128"],
+)
+def test_verify_defect_theorem_seeded_instance(case, n):
+    sym, pert = _seeded_case(case, n)
+    report, witness = verify_defect_theorem(sym, pert, n)
     assert report.bound_from_theorem is not None
     assert report.defect_dim <= report.bound_from_theorem
     assert report.contained_in_theorem_space
     assert report.max_residual_outside_theorem_space < CONTAINMENT_TOL
     assert witness.max_membership_residual < WITNESS_TOL
     assert witness.max_w_in_space_residual < WITNESS_TOL
+    if case == "conj_inner":
+        assert Instance(sym, pert, n).kernel.dim == 2 and witness.entries
+
+
+def test_seeded_conj_inner_instance_exits_2_at_n64(tmp_path):
+    # The kernel has dim 2 with a tail of 1.2e-5 beyond the window N/2 = 32,
+    # so its window cut is not in the kernel to the witness tolerance and
+    # the witness hypothesis rejects it.  (A window SVD found dim 0 here,
+    # and the check passed on no witnesses.)
+    sym, pert = _seeded_case("conj_inner")
+    inst = Instance(sym, pert, N)
+    assert inst.kernel.dim == 2 and inst.structured_kernel[1] > 1e-6
+    with pytest.raises(HypothesisViolationError, match="in the kernel"):
+        verify_defect_theorem(sym, pert, N)
+    path = tmp_path / "conj-inner-n64.json"
+    scenario = Scenario(sym, pert, truncation=N, checks=("defect", "witness"))
+    path.write_text(json.dumps(scenario.to_json_dict()), encoding="utf-8")
+    assert cli.main(["defect", str(path)]) == cli.EXIT_INPUT_ERROR
 
 
 def test_check_on_an_instance_matches_the_raw_data_wrapper():
@@ -548,11 +579,14 @@ def test_structured_kernel_matches_the_svd_kernel(case, doubled):
     if doubled:
         inst = inst.doubled
     m, tail = inst.structured_kernel
-    assert m.dim == inst.kernel.dim
+    reference = svd_kernel(inst)
+    assert m is inst.kernel
+    assert m.dim == reference.dim
     assert m.complement.shape == (inst.column_cap, inst.column_cap - m.dim)
     if m.dim:
-        assert float(principal_angles(m, inst.kernel).max()) < ANGLE_TOL
-    assert minimal_defect(m, vanish_at_zero(m)).defect_dim == inst.defect.defect_dim
+        assert float(principal_angles(m, reference).max()) < ANGLE_TOL
+    reference_defect = minimal_defect(reference, vanish_at_zero(reference))
+    assert inst.defect.defect_dim == reference_defect.defect_dim
     if doubled:
         assert tail <= inst.rank_tol
 
@@ -628,28 +662,22 @@ def test_defect_matches_brute_force_on_small_case():
     assert rank == report.defect_dim
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1(b): the 6th kernel singular value (5.8e-9) sits in "
-    "the rank-ambiguity band, so N = 64 reports defect 4 and a residual of "
-    "1.2e-3 outside F where N >= 96 reports defect 5 inside it",
-)
 def test_conj_inner_defect_is_contained_at_n64():
+    # ROADMAP item 1(b): the 6th singular value of the window SVD (5.8e-9
+    # relative to s0) fell on the range side of the cut, which gave defect
+    # 4 and a residual of 1.2e-3 outside F.  The structured kernel has all
+    # 6 directions, with a window tail of 5.8e-9.
     theta = BlaschkeProduct.from_points([0.3, -0.4j], z_power=4)
     pert = seeded_perturbation(np.random.default_rng(505), 64, 3, 6)
     report, _ = verify_defect_theorem(ConjInnerSymbol(theta), pert, 64)
+    assert report.defect_dim == 5
     assert report.passed
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP items 1(b) and 9: the structured kernel has dim 2 at every "
-    "N with a tail of 1.2e-5 beyond the N = 64 window, where the SVD kernel "
-    "has dim 0, so the seeded conj_inner defect check passes on 0 witnesses",
-)
 def test_seeded_conj_inner_kernel_is_not_empty_at_n64():
-    # The data of test_verify_defect_theorem_seeded_instance[conj_inner].
-    rng = np.random.default_rng(CASE_SEEDS["conj_inner"])
-    pert = seeded_perturbation(rng, N, rank=2, max_degree=6)
-    inst = Instance(ConjInnerSymbol(random_blaschke(rng, max_degree=2)), pert, N)
-    assert inst.kernel.dim == inst.structured_kernel[0].dim
+    # The data of test_seeded_conj_inner_instance_exits_2_at_n64:
+    # the window SVD reports dim 0 where the kernel has dim 2 at every N.
+    sym, pert = _seeded_case("conj_inner")
+    inst = Instance(sym, pert, N)
+    assert svd_kernel(inst).dim == 0
+    assert inst.kernel.dim == inst.structured_kernel[0].dim == 2

@@ -4,9 +4,9 @@ perfbench/run.py rejects a paper-256 pass when a catalogue row does not
 pass or when an integer skeleton (kernel dim, defect dim, bound, cgp
 branch) differs from perfbench/reference.json.  This test runs the
 benchmark's own workload code for one pass of `verify-paper --truncation
-256` and applies both checks.  It also counts the kernel SVDs: the
-defect, representation and stability checks of a row all read the kernel
-of the row's one Instance, and it reads the report for two margins: every
+256` and applies both checks.  It also counts the kernel SVDs: every
+row's symbol is one of the four defect families, whose kernels are solved
+from the operator's structure, and it reads the report for two margins: every
 reverse-fit tuple meets its clauses at round-off, and the known-gap row's
 forward residual stays at its full size.  The test reads perfbench/ and
 writes nothing there.
@@ -17,11 +17,11 @@ import json
 from conftest import PERFBENCH, count_calls, load_perfbench_workloads
 from neartoep import subspaces
 
-# 27 of the 28 rows build one Instance: one kernel SVD at N = 256.  The
-# stability audit adds none: the 8 zero-symbol rows read their r-wide
-# window complement at 2N and the others their structured kernel.  The
-# closed-form remark row builds none.
-KERNEL_SUBSPACE_CALLS = 27
+# 27 of the 28 rows build one Instance, and the closed-form remark row
+# builds none.  No row takes a window SVD: at N = 256 and in the 2N audit
+# the 8 zero-symbol rows read their r-wide window complement and the
+# others their structured kernel.
+KERNEL_SUBSPACE_CALLS = 0
 
 
 def test_paper_rows_pass_the_benchmark_gate(monkeypatch, tmp_path):

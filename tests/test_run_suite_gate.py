@@ -7,9 +7,9 @@ scenarios through runner.run_scenario with the 2N stability audit: the
 zero symbol's cofinite kernel (254 witnesses), an inner symbol (its
 windows have no zero rows), an invertible symbol (its 2N window has only
 515 nonzero rows) and a conjugate-inner finite kernel with defect 2.  A
-strict xfail pins a suite scenario that, moved to N = 64, passes its
-checks on a window kernel that lost a direction.  The tests read
-perfbench/ and write nothing there.
+suite scenario whose kernel, moved to N = 64, reaches past the window
+must exit 2, not pass on a window kernel that lost a direction.  The
+tests read perfbench/ and write nothing there.
 """
 
 import dataclasses
@@ -20,7 +20,7 @@ import pytest
 
 from conftest import BLAS_THREAD_VARS, PERFBENCH, load_perfbench_workloads
 from neartoep import runner
-from neartoep.errors import InputError
+from neartoep.errors import HypothesisViolationError
 
 SCENARIO_IDS = {
     0: "000-zero-r1-d3-z0",
@@ -52,19 +52,16 @@ def test_run_suite_scenario_matches_the_benchmark_reference(monkeypatch, index):
     assert report.stability["defect_dim_doubled"] == skeleton["defect_dim"]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=pytest.fail.Exception,
-    reason="ROADMAP items 1(b) and 9: at N = 64 the SVD kernel has dim 2 where "
-    "structured_kernel has dim 3 with a window tail of 7.1e-6; the kernel, "
-    "defect and witness checks pass on the SVD kernel and only the 2N audit "
-    "fails the scenario, where item 9 asks for exit 2 with a named reason",
-)
 def test_window_that_truncates_a_kernel_direction_is_rejected_at_n64(monkeypatch):
+    # At N = 64 the kernel has dim 3 with a window tail of 7.1e-6 (a window
+    # SVD found dim 2, and the checks passed on it).  The window cut of the
+    # kernel is then not in the kernel to the witness tolerance, so the
+    # witness hypothesis raises: exit 2, though not yet with a reason that
+    # names the window (ROADMAP item 9).
     workloads = load_perfbench_workloads(monkeypatch)
     scenario = workloads.run_suite(3)[11]
     assert scenario.scenario_id == "011-conj_inner-r3-d3-z2"
-    with pytest.raises(InputError):
+    with pytest.raises(HypothesisViolationError, match="in the kernel"):
         runner.run_scenario(dataclasses.replace(scenario, truncation=64), stabilize=False)
 
 

@@ -4,19 +4,21 @@ For the zero symbol R = V U^H the 2N audit forms only the cap x rank
 complement of the doubled window (Instance.zero_complement) and the defect
 dim it implies (subspaces.complement_defect_dim): no 2N operator, kernel
 frame or vanishing frame.  These tests hold that audit to the SVD
-reference at 2N, kernel_profile(inst.doubled), which builds all three, on
-the zero-symbol shapes of the defect-suite benchmark and on three edge
-cases.  The tests read perfbench/ and write nothing there.
+reference at 2N, the window SVD of the doubled operator with its minimal
+defect, which builds all three, on the zero-symbol shapes of the
+defect-suite benchmark and on three edge cases.  The tests read
+perfbench/ and write nothing there.
 """
 
 import numpy as np
 import pytest
 
-from conftest import load_perfbench_workloads, seeded_perturbation
+from conftest import load_perfbench_workloads, seeded_perturbation, svd_kernel
 from neartoep.defects import Instance
 from neartoep.operators import PerturbationSpec, ZeroSymbol
 from neartoep.runner import kernel_profile, stability_summary, structured_profile
 from neartoep.series import AnalyticSeries
+from neartoep.subspaces import minimal_defect, vanish_at_zero
 
 N = 64
 
@@ -25,14 +27,17 @@ def _assert_audit_matches_the_svd_reference(inst, angle_tol=1e-12):
     summary = stability_summary(inst)
     doubled = inst.doubled
     comp = doubled.zero_complement
-    dim, cap, defect = kernel_profile(doubled)
+    reference = svd_kernel(doubled)
+    dim, cap = reference.dim, doubled.column_cap
+    defect = minimal_defect(reference, vanish_at_zero(reference)).defect_dim
     assert structured_profile(doubled) == (dim, cap, defect, 0.0)
+    assert kernel_profile(doubled) == (dim, cap, defect)
     assert summary["kernel_dim_doubled"] == dim
     assert summary["kernel_codim_doubled"] == cap - dim
     assert summary["defect_dim_doubled"] == defect
     assert summary["stable_at_double"]
     # The same range side as the 2N window's SVD, not just the same rank.
-    reference = doubled.kernel.complement
+    reference = reference.complement
     assert comp.shape == reference.shape == (cap, cap - dim)
     gap = comp @ comp.conj().T - reference @ reference.conj().T
     assert np.linalg.norm(gap) <= angle_tol
@@ -61,7 +66,7 @@ def test_zero_symbol_audit_matches_the_svd_reference_on_the_defect_suite(
 def test_zero_symbol_audit_of_an_empty_perturbation():
     inst = Instance(ZeroSymbol(), PerturbationSpec(()), N)
     summary = _assert_audit_matches_the_svd_reference(inst)
-    assert inst.doubled.kernel.degenerate
+    assert inst.doubled.kernel.degenerate and svd_kernel(inst.doubled).degenerate
     assert summary["kernel_dim_doubled"] == N and summary["defect_dim_doubled"] == 0
 
 
@@ -103,6 +108,6 @@ def test_zero_complement_matches_the_svd_complement_when_the_window_loses_rank(c
         u2 = a * 0.5j + c * (1 / np.sqrt(2)) + beyond * -0.5j
         terms = ((u1, v1 * (1e-12 * v2.norm() / v1.norm())), (u2, v2))
     inst = Instance(ZeroSymbol(), PerturbationSpec(terms), N)
-    comp, reference = inst.zero_complement, inst.kernel.complement
+    comp, reference = inst.zero_complement, svd_kernel(inst).complement
     assert comp.shape == reference.shape == (N // 2, 1)
     assert np.linalg.norm(comp @ comp.conj().T - reference @ reference.conj().T) <= 1e-12
