@@ -115,7 +115,8 @@ def _cmd_defect(args: argparse.Namespace) -> int:
     print(
         f"witnesses: {len(witness.entries)} entries, "
         f"max membership {witness.max_membership_residual:.2e}, "
-        f"max w-in-space {witness.max_w_in_space_residual:.2e}"
+        f"max w-in-space {witness.max_w_in_space_residual:.2e}, "
+        f"max h-in-kernel {witness.max_kernel_residual:.2e}"
     )
     print("PASS" if ok else "FAIL")
     if args.json_out:
@@ -136,13 +137,14 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     inst = scenario.instance()
     outcome = kernel_outcome(inst)
     details = outcome.details
-    tail = ", ".join(f"{s:.2e}" for s in details["smallest_singular_values"])
+    smallest = ", ".join(f"{s:.2e}" for s in details["smallest_singular_values"])
     print(
         f"scenario {scenario.scenario_id}: kernel dim {details['kernel_dim']} "
         f"(cap {details['column_cap']}, codim {details['kernel_codim']}), "
         f"defect dim {details['defect_dim']}"
     )
-    print(f"smallest singular values: {tail}")
+    print(f"smallest singular values: {smallest}")
+    print(f"window tail: {details['window_tail']:.2e}")
     ambiguous = details["ambiguous_singular_values"]
     if ambiguous:
         print(
@@ -157,6 +159,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
                 "column_cap": details["column_cap"],
                 "defect_dim": details["defect_dim"],
                 "ambiguous_singular_values": ambiguous,
+                "window_tail": details["window_tail"],
                 "kernel": inst.kernel.to_json_dict(),
             },
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .subspaces import (
     minimal_defect,
     project,
     rank_cut,
+    rank_threshold,
     relative_residuals,
     residuals_outside_sum,
     span,
@@ -62,8 +64,7 @@ WITNESS_KERNEL_TOL = 1e-8
 # Largest relative residual of a minimal-defect direction outside M + F.
 CONTAINMENT_TOL = 1e-7
 
-_STRUCTURED_CASES = (InnerSymbol, InvertibleProductSymbol, ConjInnerSymbol)
-_DEFECT_CASES = (ZeroSymbol, *_STRUCTURED_CASES)
+_DEFECT_CASES = (ZeroSymbol, InnerSymbol, InvertibleProductSymbol, ConjInnerSymbol)
 
 
 def _require_defect_case(sym: Symbol) -> None:
@@ -115,6 +116,19 @@ def lambda_set(k_theta: Subspace, u_list: list[AnalyticSeries]) -> set[int]:
     return out
 
 
+class KernelSolution(NamedTuple):
+    """The kernel on the column window, its tail beyond the window, and its cut.
+
+    tail is the largest norm beyond the window of a unit kernel vector:
+    the window holds the kernel only while it is near round-off.  cut is
+    the threshold at or below which the kernel's svals counted as zero.
+    """
+
+    space: Subspace
+    tail: float
+    cut: float
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """R = T_g + sum v_i <., u_i> at one truncation order N.
@@ -162,27 +176,10 @@ class Instance:
         """V: the v_i as columns, N x r, read-only."""
         return _read_only(self.perturbation.v_matrix(self.truncation))
 
-    @cached_property
-    def kernel(self) -> Subspace:
-        """The kernel on the column window [0, N // 2).
-
-        The four defect families read structured_kernel; only
-        trigonometric-polynomial symbols take the SVD of the N x N // 2
-        window of the operator (kernel_subspace).
-        """
-        if isinstance(self.symbol, TrigPolySymbol):
-            return kernel_subspace(self.operator, self.rank_tol, column_cap=self.column_cap)
-        return self.structured_kernel[0]
-
     @property
-    def kernel_cut(self) -> float:
-        """The threshold below which the kernel's svals counted as zero.
-
-        rank_tol * max(1, s0) for the small systems of structured_kernel
-        (_null_space's floor), rank_tol * s0 for window values.
-        """
-        floor = 1.0 if isinstance(self.symbol, _STRUCTURED_CASES) else 0.0
-        return self.rank_tol * max(floor, max(self.kernel.svals, default=0.0))
+    def kernel(self) -> Subspace:
+        """The kernel on the column window [0, N // 2): structured_kernel's space."""
+        return self.structured_kernel.space
 
     def apply(self, cols: np.ndarray) -> np.ndarray:
         """R X = T_g X + V (U^H X) for an N x k block X, column by column.
@@ -211,11 +208,12 @@ class Instance:
         return out
 
     @cached_property
-    def _zero_window(self) -> tuple[np.ndarray, np.ndarray]:
-        """B's singular values and zero_complement (zero symbol only)."""
+    def _zero_window(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """B's singular values, zero_complement and the cut (zero symbol only)."""
         q, r_u = np.linalg.qr(self.u_matrix[: self.column_cap])
         _, s, vh = np.linalg.svd(self.v_matrix @ r_u.conj().T, full_matrices=False)
-        return s, _read_only(q @ vh[: rank_cut(s, self.rank_tol)].conj().T)
+        comp = _read_only(q @ vh[: rank_cut(s, self.rank_tol)].conj().T)
+        return s, comp, rank_threshold(s, self.rank_tol)
 
     @property
     def zero_complement(self) -> np.ndarray:
@@ -303,8 +301,8 @@ class Instance:
         return _read_only(self._corrected(_backshift_columns(self.v_matrix)))
 
     @cached_property
-    def structured_kernel(self) -> tuple[Subspace, float]:
-        """The window kernel solved from the operator's structure, and its tail.
+    def structured_kernel(self) -> KernelSolution:
+        """The window kernel solved from the operator's structure, with its tail and cut.
 
         The zero symbol's R = V U^H, so its kernel is the window's part
         orthogonal to zero_complement, of dim cap - rank and tail 0; its
@@ -319,16 +317,16 @@ class Instance:
         The solutions are orthonormalized over all N coefficients and cut
         to the column window [0, N // 2), which carries its complement as
         kernel_subspace's does; svals are the system's singular values, one
-        per unknown (exact zeros pad a wide system).  The tail is the
-        largest norm beyond the window of a unit kernel vector; the window
-        holds the kernel only while it is below rank_tol.
-        Trigonometric-polynomial symbols return their SVD kernel, tail 0.
+        per unknown (exact zeros pad a wide system), cut at
+        rank_tol * max(1, s0).  Trigonometric-polynomial symbols take the
+        SVD of the operator's N x N // 2 window (kernel_subspace), tail 0.
         """
         sym, n, cap = self.symbol, self.truncation, self.column_cap
         if isinstance(sym, TrigPolySymbol):
-            return self.kernel, 0.0
+            m = kernel_subspace(self.operator, self.rank_tol, column_cap=cap)
+            return KernelSolution(m, 0.0, rank_threshold(m.svals, self.rank_tol))
         if isinstance(sym, ZeroSymbol):
-            s, comp = self._zero_window
+            s, comp, cut = self._zero_window
             svals = np.pad(s, (0, cap - s.size))
             rank = comp.shape[1]
             frame = np.zeros((n, cap - rank), dtype=np.complex128)
@@ -337,7 +335,7 @@ class Instance:
                 frame, n, self.rank_tol, degenerate=svals[0] <= ZERO_OPERATOR_FLOOR,
                 svals=tuple(svals), complement=comp,
             )
-            return kernel, 0.0
+            return KernelSolution(kernel, 0.0, cut)
         cv = self.corrected_v
         i_plus = np.eye(cv.shape[1]) + self.pairing
         if isinstance(sym, InvertibleProductSymbol):
@@ -349,7 +347,7 @@ class Instance:
             k = self.k_theta.frame
             system = np.hstack((i_plus, -(self.u_matrix.conj().T @ k)))
             solutions = np.hstack((-cv, k))
-        null, svals = _null_space(system, self.rank_tol)
+        null, svals, cut = _null_space(system, self.rank_tol)
         q, _ = np.linalg.qr(solutions @ null)
         dim = q.shape[1]
         tail = float(np.linalg.norm(q[cap:], 2)) if dim else 0.0
@@ -359,7 +357,7 @@ class Instance:
         kernel = Subspace(
             frame, n, self.rank_tol, svals=tuple(svals), complement=window[:, dim:]
         )
-        return kernel, tail
+        return KernelSolution(kernel, tail, cut)
 
     @cached_property
     def negative_frame(self) -> np.ndarray:
@@ -432,8 +430,8 @@ def theorem_defect_bound(inst: Instance) -> int:
     return n
 
 
-def _null_space(mat: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal null-space frame of a small system, and its singular values.
+def _null_space(mat: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Orthonormal null-space frame of a small system, its singular values and the cut.
 
     The cut is rank_cut's with floor 1, as in minimal_defect: the systems
     are built from unit-scale data, and a system that is exactly zero has
@@ -441,8 +439,9 @@ def _null_space(mat: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarra
     column, as kernel_subspace's are.
     """
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    null = vh[rank_cut(s, rank_tol, floor=1.0) :].conj().T
-    return null, np.pad(s, (0, mat.shape[1] - s.size))
+    floor = 1.0
+    null = vh[rank_cut(s, rank_tol, floor) :].conj().T
+    return null, np.pad(s, (0, mat.shape[1] - s.size)), rank_threshold(s, rank_tol, floor)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -489,16 +488,32 @@ def defect_witnesses(
     component of conj(theta) S*h + sum <h, u_i> S*v_i along the negative
     frame explicitly.
     """
+    hs = _vanishing_frame(inst, hs, kernel_tol)
+    if np.any(_kernel_residuals(inst, hs) > kernel_tol):
+        raise HypothesisViolationError("witness needs h in the kernel")
+    return _witnesses(inst, hs)
+
+
+def _vanishing_frame(inst: Instance, hs: np.ndarray, tol: float) -> np.ndarray:
+    """hs as a finite N x k array whose columns vanish at 0 to tol (validated)."""
     _require_defect_case(inst.symbol)
     n = inst.truncation
     hs = np.asarray(hs, dtype=np.complex128)
     if hs.ndim != 2 or hs.shape[0] != n or not np.all(np.isfinite(hs)):
         raise InputError(f"witness frame {hs.shape} is not a finite {n} x k array")
-    scale = kernel_tol * np.maximum(1.0, np.linalg.norm(hs, axis=0))
-    if np.any(np.abs(hs[0]) > scale):
+    if np.any(np.abs(hs[0]) > tol * np.maximum(1.0, np.linalg.norm(hs, axis=0))):
         raise HypothesisViolationError("witness needs h(0) = 0")
-    if np.any(np.linalg.norm(inst.apply(hs), axis=0) > scale):
-        raise HypothesisViolationError("witness needs h in the kernel")
+    return hs
+
+
+def _kernel_residuals(inst: Instance, cols: np.ndarray) -> np.ndarray:
+    """||R x|| / max(1, ||x||) for every column x."""
+    scale = np.maximum(1.0, np.linalg.norm(cols, axis=0))
+    return np.linalg.norm(inst.apply(cols), axis=0) / scale
+
+
+def _witnesses(inst: Instance, hs: np.ndarray) -> np.ndarray:
+    """defect_witnesses without the validation."""
     if not inst.perturbation.terms:
         return np.zeros_like(hs)
     u = inst.u_matrix
@@ -527,10 +542,16 @@ def defect_witness(
 
 @dataclass(frozen=True)
 class WitnessEntry:
-    """The two residuals of one witness: S*h + w in the kernel, w in F."""
+    """The residuals of one witness: S*h + w in the kernel, w in F, and h in the kernel.
+
+    The last is the witness's hypothesis on the kernel frame's column h.
+    It fails when the kernel reaches past the column window, whose cut
+    of the kernel is then not in it.
+    """
 
     membership_residual: float
     w_in_space_residual: float
+    kernel_residual: float
 
 
 @dataclass(frozen=True)
@@ -551,11 +572,16 @@ class WitnessReport:
         return max((e.w_in_space_residual for e in self.entries), default=0.0)
 
     @property
+    def max_kernel_residual(self) -> float:
+        return max((e.kernel_residual for e in self.entries), default=0.0)
+
+    @property
     def passed(self) -> bool:
-        """Both residuals of every witness below WITNESS_KERNEL_TOL."""
+        """Every residual of every witness below WITNESS_KERNEL_TOL."""
         return (
             self.max_membership_residual < WITNESS_KERNEL_TOL
             and self.max_w_in_space_residual < WITNESS_KERNEL_TOL
+            and self.max_kernel_residual < WITNESS_KERNEL_TOL
         )
 
     def to_json_dict(self) -> dict:
@@ -563,8 +589,10 @@ class WitnessReport:
             "entries": len(self.entries),
             "max_membership_residual": self.max_membership_residual,
             "max_w_in_space_residual": self.max_w_in_space_residual,
+            "max_kernel_residual": self.max_kernel_residual,
             "per_entry_residuals": [
-                [e.membership_residual, e.w_in_space_residual] for e in self.entries
+                [e.membership_residual, e.w_in_space_residual, e.kernel_residual]
+                for e in self.entries
             ],
         }
 
@@ -579,9 +607,11 @@ def check_defect_theorem(
     Failures land in the report fields; only malformed inputs raise.
     Containment measures each residual direction outside M + F from the
     part of F orthogonal to M (residuals_outside_sum), and kernel
-    membership of every S*h + w is one Instance.apply.  witness_tol is the
-    hypothesis tolerance of defect_witnesses; the witness pass rule is
-    WitnessReport.passed.
+    membership of every S*h + w is one Instance.apply.  The witnesses are
+    built on the kernel's members vanishing at 0, whose kernel residuals
+    are reported rather than raised: a kernel that reaches past the
+    column window fails them.  witness_tol is the tolerance of the
+    h(0) = 0 hypothesis; the witness pass rule is WitnessReport.passed.
     """
     _require_defect_case(inst.symbol)
     base = inst.defect
@@ -598,14 +628,14 @@ def check_defect_theorem(
         contained_in_theorem_space=worst_outside < containment_tol,
         max_residual_outside_theorem_space=worst_outside,
     )
-    hs = inst.vanishing.frame
-    ws = defect_witnesses(inst, hs, kernel_tol=witness_tol)
-    candidates = _backshift_columns(hs) + ws
-    scale = np.maximum(1.0, np.linalg.norm(candidates, axis=0))
-    membership = np.linalg.norm(inst.apply(candidates), axis=0) / scale
+    hs = _vanishing_frame(inst, inst.vanishing.frame, witness_tol)
+    ws = _witnesses(inst, hs)
+    membership = _kernel_residuals(inst, _backshift_columns(hs) + ws)
     w_resid = relative_residuals(f_space, ws)
+    in_kernel = _kernel_residuals(inst, hs)
     entries = tuple(
-        WitnessEntry(float(m_res), float(w_res)) for m_res, w_res in zip(membership, w_resid)
+        WitnessEntry(float(m_res), float(w_res), float(k_res))
+        for m_res, w_res, k_res in zip(membership, w_resid, in_kernel)
     )
     return report, WitnessReport(entries)
 

@@ -34,9 +34,9 @@ from .subspaces import DEFAULT_RANK_TOL, complement_defect_dim
 VALID_CHECKS = ("kernel", "defect", "witness", "cgp")
 DEFAULT_TRUNCATION = 128
 HEADROOM_MARGIN = 8
-# Singular values inside [rank_tol * s0, rank_tol * s0 * band), just above
-# rank_cut's cut, make the kernel/range split genuinely ambiguous at the
-# working precision.
+# Singular values inside [cut, cut * band), just above the kernel's rank
+# cut (KernelSolution.cut), make the kernel/range split genuinely
+# ambiguous at the working precision.
 AMBIGUITY_BAND = 1e3
 SINGULAR_TAIL_LEN = 6
 
@@ -192,19 +192,17 @@ def kernel_profile(inst: Instance) -> tuple[int, int, int]:
 
 
 def structured_profile(inst: Instance) -> tuple[int, int, int, float]:
-    """(kernel dim, column cap, defect dim, window tail) from the operator's structure.
+    """kernel_profile and the kernel's window tail.
 
     The zero symbol's kernel is cofinite, so only its r-wide window
     complement is formed: the kernel has dim cap - rank and tail 0, and the
-    defect dim comes from the complement alone.  Every other family reads
-    structured_kernel, which is its kernel, and the instance's minimal defect.
+    defect dim comes from the complement alone, with no kernel or
+    vanishing frame.
     """
-    cap = inst.column_cap
     if isinstance(inst.symbol, ZeroSymbol):
-        comp = inst.zero_complement
+        comp, cap = inst.zero_complement, inst.column_cap
         return cap - comp.shape[1], cap, complement_defect_dim(comp, inst.rank_tol), 0.0
-    m, tail = inst.structured_kernel
-    return m.dim, cap, inst.defect.defect_dim, tail
+    return (*kernel_profile(inst), inst.structured_kernel.tail)
 
 
 def stability_summary(inst: Instance) -> dict:
@@ -285,15 +283,17 @@ class SuiteReport:
 
 
 def kernel_outcome(inst: Instance) -> CheckOutcome:
-    """The kernel check: fails when a singular value sits just above the rank cut.
+    """The kernel check: fails when a singular value sits just above the rank cut,
+    or when the kernel reaches past the column window.
 
     The values are the ones the kernel's rank was cut from: the small
     system's for the inner, invertible and conjugate-inner symbols, the
-    column window's otherwise.
+    column window's otherwise.  The window tail must stay below
+    WITNESS_KERNEL_TOL, the tolerance the witnesses ask of each kernel
+    member; beyond it the frame's columns are not in the kernel.
     """
-    m = inst.kernel
+    m, tail, cut = inst.structured_kernel
     svals = sorted(m.svals)
-    cut = inst.kernel_cut
     ambiguous = [s for s in svals if cut <= s < cut * AMBIGUITY_BAND]
     details = {
         "kernel_dim": m.dim,
@@ -302,8 +302,9 @@ def kernel_outcome(inst: Instance) -> CheckOutcome:
         "defect_dim": inst.defect.defect_dim,
         "smallest_singular_values": [float(s) for s in svals[:SINGULAR_TAIL_LEN]],
         "ambiguous_singular_values": [float(s) for s in ambiguous],
+        "window_tail": tail,
     }
-    return CheckOutcome("kernel", not ambiguous, details)
+    return CheckOutcome("kernel", not ambiguous and tail < WITNESS_KERNEL_TOL, details)
 
 
 def run_scenario(scenario: Scenario, stabilize: bool = True) -> ScenarioReport:

@@ -36,7 +36,12 @@ def rank_cut(s: np.ndarray, tol: float, floor: float = 0.0) -> int:
     """
     if len(s) == 0 or s[0] <= ZERO_OPERATOR_FLOOR:
         return 0
-    return int(np.count_nonzero(s > tol * max(floor, float(s[0]))))
+    return int(np.count_nonzero(s > rank_threshold(s, tol, floor)))
+
+
+def rank_threshold(s, tol: float, floor: float = 0.0) -> float:
+    """rank_cut's cut, tol * max(floor, s0): values at or below it count as zero."""
+    return tol * max(floor, float(s[0]) if len(s) else 0.0)
 
 
 def _fix_phases(frame: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from conftest import count_calls, disk_invertible_poly, linalg_calls, seeded_per
 from neartoep import defects, subspaces
 from neartoep.blaschke import BlaschkeProduct, blaschke_expand
 from neartoep.cli import main
-from neartoep.defects import Instance
+from neartoep.defects import WITNESS_KERNEL_TOL, Instance
 from neartoep.errors import HeadroomError, InputError
 from neartoep.operators import (
     ConjInnerSymbol,
@@ -163,7 +163,7 @@ def test_doubled_audit_of_a_conj_inner_instance_svds_only_small_systems(monkeypa
     theta = BlaschkeProduct.from_points([0.3, -0.4j], z_power=1)
     pert = seeded_perturbation(np.random.default_rng(404), N, rank=2, max_degree=6)
     inst = Instance(ConjInnerSymbol(theta), pert, N)
-    kernel_profile(inst)  # the N side, whose SVD kernel the checks measure
+    kernel_profile(inst)  # the N side, whose kernel the checks measure
     calls = linalg_calls(monkeypatch, "svd")
     assert stability_summary(inst)["stable_at_double"]
     widths = [args[0].shape[1] for args, _ in calls]
@@ -174,14 +174,14 @@ def test_doubled_audit_of_a_conj_inner_instance_svds_only_small_systems(monkeypa
 def test_doubled_audit_of_a_zero_symbol_instance_svds_only_r_wide_blocks(monkeypatch):
     pert = seeded_perturbation(np.random.default_rng(101), N, rank=2, max_degree=6)
     inst = Instance(ZeroSymbol(), pert, N)
-    kernel_profile(inst)  # the N side, whose SVD kernel the checks measure
+    kernel_profile(inst)  # the N side, whose kernel the checks measure
     calls = linalg_calls(monkeypatch, "svd")
     assert stability_summary(inst)["stable_at_double"]
     widths = [args[0].shape[1] for args, _ in calls]
     # An SVD of the 2N window would be N columns wide.
     assert widths and max(widths) <= pert.rank_bound
     # Nor is the 2N operator, kernel frame or vanishing frame built.
-    assert not {"operator", "kernel", "vanishing"} & set(inst.doubled.__dict__)
+    assert not {"operator", "structured_kernel", "vanishing"} & set(inst.doubled.__dict__)
 
 
 def test_run_suite_rejects_duplicate_ids():
@@ -321,12 +321,12 @@ def annihilator_scenario_dict():
 def test_cli_defect_exits_one_when_a_witness_fails(tmp_path, capsys, monkeypatch):
     # Offset witnesses leave S*h + w outside the kernel; the defect
     # prediction itself does not read them and still passes.
-    original = defects.defect_witnesses
+    original = defects._witnesses
 
-    def offset(inst, hs, kernel_tol):
-        return original(inst, hs, kernel_tol) + 1e-3
+    def offset(inst, hs):
+        return original(inst, hs) + 1e-3
 
-    monkeypatch.setattr(defects, "defect_witnesses", offset)
+    monkeypatch.setattr(defects, "_witnesses", offset)
     path = write(tmp_path, "scenario.json", annihilator_scenario_dict())
     out = tmp_path / "defect.json"
     assert main(["defect", path, "--json-out", str(out)]) == 1
@@ -339,7 +339,8 @@ def test_cli_defect_exits_one_when_a_witness_fails(tmp_path, capsys, monkeypatch
 
 
 WITNESS_JSON_KEYS = {
-    "entries", "max_membership_residual", "max_w_in_space_residual", "per_entry_residuals",
+    "entries", "max_membership_residual", "max_w_in_space_residual", "max_kernel_residual",
+    "per_entry_residuals",
 }
 
 
@@ -379,6 +380,7 @@ def test_cli_kernel_command(tmp_path, capsys):
     assert payload["kernel"]["dim"] == run_kernel["kernel_dim"]
     assert payload["column_cap"] == N // 2
     assert payload["ambiguous_singular_values"] == []
+    assert payload["window_tail"] == run_kernel["window_tail"] < WITNESS_KERNEL_TOL
 
 
 @pytest.mark.parametrize(

@@ -235,20 +235,21 @@ def test_verify_defect_theorem_seeded_instance(case, n):
         assert Instance(sym, pert, n).kernel.dim == 2 and witness.entries
 
 
-def test_seeded_conj_inner_instance_exits_2_at_n64(tmp_path):
+def test_seeded_conj_inner_instance_fails_its_witness_check_at_n64(tmp_path):
     # The kernel has dim 2 with a tail of 1.2e-5 beyond the window N/2 = 32,
-    # so its window cut is not in the kernel to the witness tolerance and
-    # the witness hypothesis rejects it.  (A window SVD found dim 0 here,
-    # and the check passed on no witnesses.)
+    # so its window cut is not in the kernel to the witness tolerance: the
+    # witness check fails on the kernel residuals (exit 1).  (A window SVD
+    # found dim 0 here, and the check passed on no witnesses.)
     sym, pert = _seeded_case("conj_inner")
     inst = Instance(sym, pert, N)
-    assert inst.kernel.dim == 2 and inst.structured_kernel[1] > 1e-6
-    with pytest.raises(HypothesisViolationError, match="in the kernel"):
-        verify_defect_theorem(sym, pert, N)
+    assert inst.kernel.dim == 2 and inst.structured_kernel.tail > 1e-6
+    _, witness = verify_defect_theorem(sym, pert, N)
+    assert witness.entries and not witness.passed
+    assert witness.max_kernel_residual >= WITNESS_KERNEL_TOL
     path = tmp_path / "conj-inner-n64.json"
     scenario = Scenario(sym, pert, truncation=N, checks=("defect", "witness"))
     path.write_text(json.dumps(scenario.to_json_dict()), encoding="utf-8")
-    assert cli.main(["defect", str(path)]) == cli.EXIT_INPUT_ERROR
+    assert cli.main(["defect", str(path)]) == cli.EXIT_VERIFICATION_FAILED
 
 
 def test_check_on_an_instance_matches_the_raw_data_wrapper():
@@ -514,7 +515,7 @@ def test_corrector_makes_no_series_product_calls(monkeypatch, case):
         for name in ("multiply", "multiply_analytic", "riesz_project")
     ]
     assert inst.shifted_images.shape == (N, inst.perturbation.rank_bound)
-    assert inst.structured_kernel[0].dim > 0
+    assert inst.structured_kernel.space.dim > 0
     assert [len(c) for c in calls] == [0, 0, 0]
 
 
@@ -578,7 +579,7 @@ def test_structured_kernel_matches_the_svd_kernel(case, doubled):
     inst = _structured_instance(case)
     if doubled:
         inst = inst.doubled
-    m, tail = inst.structured_kernel
+    m, tail, _ = inst.structured_kernel
     reference = svd_kernel(inst)
     assert m is inst.kernel
     assert m.dim == reference.dim
@@ -632,9 +633,10 @@ def test_trivial_kernel_gives_an_empty_witness_report():
 def test_witness_pass_rule_is_strict():
     tol = WITNESS_KERNEL_TOL
     below = np.nextafter(tol, 0.0)
-    assert not WitnessReport((WitnessEntry(tol, 0.0), WitnessEntry(0.0, below))).passed
-    assert not WitnessReport((WitnessEntry(0.0, tol),)).passed
-    assert WitnessReport((WitnessEntry(below, 0.0), WitnessEntry(0.0, below))).passed
+    assert not WitnessReport((WitnessEntry(tol, 0.0, 0.0), WitnessEntry(0.0, below, 0.0))).passed
+    assert not WitnessReport((WitnessEntry(0.0, tol, 0.0),)).passed
+    assert not WitnessReport((WitnessEntry(0.0, 0.0, tol),)).passed
+    assert WitnessReport((WitnessEntry(below, 0.0, below), WitnessEntry(0.0, below, 0.0))).passed
     assert WitnessReport(()).passed
 
 
@@ -675,9 +677,9 @@ def test_conj_inner_defect_is_contained_at_n64():
 
 
 def test_seeded_conj_inner_kernel_is_not_empty_at_n64():
-    # The data of test_seeded_conj_inner_instance_exits_2_at_n64:
+    # The data of test_seeded_conj_inner_instance_fails_its_witness_check_at_n64:
     # the window SVD reports dim 0 where the kernel has dim 2 at every N.
     sym, pert = _seeded_case("conj_inner")
     inst = Instance(sym, pert, N)
     assert svd_kernel(inst).dim == 0
-    assert inst.kernel.dim == inst.structured_kernel[0].dim == 2
+    assert inst.kernel.dim == inst.structured_kernel.space.dim == 2

@@ -8,8 +8,9 @@ zero symbol's cofinite kernel (254 witnesses), an inner symbol (its
 windows have no zero rows), an invertible symbol (its 2N window has only
 515 nonzero rows) and a conjugate-inner finite kernel with defect 2.  A
 suite scenario whose kernel, moved to N = 64, reaches past the window
-must exit 2, not pass on a window kernel that lost a direction.  The
-tests read perfbench/ and write nothing there.
+fails its kernel and witness checks, and a strict xfail pins the named
+exit 2 it should get instead.  The tests read perfbench/ and write
+nothing there.
 """
 
 import dataclasses
@@ -19,8 +20,9 @@ import os
 import pytest
 
 from conftest import BLAS_THREAD_VARS, PERFBENCH, load_perfbench_workloads
-from neartoep import runner
-from neartoep.errors import HypothesisViolationError
+from neartoep import cli, runner
+from neartoep.defects import WITNESS_KERNEL_TOL
+from neartoep.errors import InputError
 
 SCENARIO_IDS = {
     0: "000-zero-r1-d3-z0",
@@ -52,17 +54,46 @@ def test_run_suite_scenario_matches_the_benchmark_reference(monkeypatch, index):
     assert report.stability["defect_dim_doubled"] == skeleton["defect_dim"]
 
 
-def test_window_that_truncates_a_kernel_direction_is_rejected_at_n64(monkeypatch):
-    # At N = 64 the kernel has dim 3 with a window tail of 7.1e-6 (a window
-    # SVD found dim 2, and the checks passed on it).  The window cut of the
-    # kernel is then not in the kernel to the witness tolerance, so the
-    # witness hypothesis raises: exit 2, though not yet with a reason that
-    # names the window (ROADMAP item 9).
+def _run_suite_scenario_at_n64(monkeypatch):
     workloads = load_perfbench_workloads(monkeypatch)
     scenario = workloads.run_suite(3)[11]
     assert scenario.scenario_id == "011-conj_inner-r3-d3-z2"
-    with pytest.raises(HypothesisViolationError, match="in the kernel"):
-        runner.run_scenario(dataclasses.replace(scenario, truncation=64), stabilize=False)
+    return dataclasses.replace(scenario, truncation=64)
+
+
+def test_window_that_truncates_a_kernel_direction_fails_its_checks_at_n64(
+    monkeypatch, tmp_path
+):
+    # At N = 64 the kernel has dim 3 with a window tail of 7.1e-6 (a window
+    # SVD found dim 2, and the checks passed on it).  The kernel check fails
+    # on the tail, also when it is the only check, and the witness check on
+    # the window cut's kernel residuals: exit 1, not 2.
+    scenario = _run_suite_scenario_at_n64(monkeypatch)
+    outcomes = {
+        o.check: o for o in runner.run_scenario(scenario, stabilize=False).outcomes
+    }
+    kernel, witness = outcomes["kernel"], outcomes["witness"]
+    assert kernel.details["kernel_dim"] == 3
+    assert kernel.details["window_tail"] > 1e-6
+    assert not kernel.passed and not witness.passed
+    assert witness.details["max_kernel_residual"] >= WITNESS_KERNEL_TOL
+    alone = dataclasses.replace(scenario, checks=("kernel",))
+    assert not runner.run_scenario(alone, stabilize=False).passed
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(alone.to_json_dict()), encoding="utf-8")
+    assert cli.main(["kernel", str(path)]) == cli.EXIT_VERIFICATION_FAILED
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=pytest.fail.Exception,
+    reason="ROADMAP item 9: at N = 64 the kernel reaches 7.1e-6 past the "
+    "window; the kernel and witness checks fail the scenario (exit 1), "
+    "where item 9 asks for exit 2 with a reason that names the window",
+)
+def test_window_that_truncates_a_kernel_direction_is_rejected_at_n64(monkeypatch):
+    with pytest.raises(InputError):
+        runner.run_scenario(_run_suite_scenario_at_n64(monkeypatch), stabilize=False)
 
 
 def test_blas_threads_are_pinned_as_in_the_benchmark():

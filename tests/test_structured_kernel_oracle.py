@@ -52,7 +52,7 @@ def test_kernel_and_apply_match_the_dense_operator_on_the_defect_suite(
     cut_off = []
     for inst in _defect_suite_instances(monkeypatch, seed, truncation):
         _assert_apply_matches_the_dense_product(inst, rng)
-        m, tail = inst.structured_kernel
+        m, tail, _ = inst.structured_kernel
         assert m is inst.kernel
         if tail > inst.rank_tol:
             # The window does not hold this kernel, so the SVD may lose a
