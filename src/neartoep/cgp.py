@@ -9,6 +9,11 @@ at a column cap per direction: the image of all of T must lie in the
 kernel and T must be S*-invariant, and every kernel basis vector must be
 the image of a tuple in T, found by one least-squares solve on T.  A tuple
 is always one stacked column, slot blocks one above the other.
+
+Every slot map and clause block is a Toeplitz operator held as its circle
+symbol: A_j is multiplication by an analytic function, and a clause block
+is a row band of T_conj(a) T_f = T_{conj(a) f} (Brown & Halmos, J. reine
+angew. Math. 213, 1964).  Blocks are built only at the column cap.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .operators import (
     PerturbationSpec,
     Symbol,
     ZeroSymbol,
-    toeplitz_matrix,
+    toeplitz_block,
 )
 from .series import (
     AnalyticSeries,
@@ -77,26 +82,16 @@ MOMENT_DEPTH = 48
 _PAD_TOL = 1e-12
 
 
-def mult_matrix(f: AnalyticSeries) -> np.ndarray:
-    """Truncated matrix of multiplication by the analytic function f."""
-    return toeplitz_matrix(embed(f)).entries
-
-
-def conj_mult_matrix(f: AnalyticSeries) -> np.ndarray:
-    """Truncated matrix of the Toeplitz operator with symbol conj(f)."""
-    return toeplitz_matrix(conj_on_circle(f)).entries
-
-
 def _abs_squared(f: AnalyticSeries) -> LaurentSeries:
     return multiply(embed(f), conj_on_circle(f))
 
 
 def is_numerically_inner(f: AnalyticSeries) -> bool:
-    """Whether |f| = 1 on a circle grid, up to INNER_MODULUS_TOL."""
-    grid = 4 * f.truncation
-    angles = 2.0 * np.pi * np.arange(grid) / grid
-    vand = np.exp(1j * np.outer(angles, np.arange(f.truncation)))
-    values = vand @ f.coeffs
+    """Whether |f| = 1 on the 4N-point circle grid, up to INNER_MODULUS_TOL.
+
+    One FFT evaluates f on the grid, visiting its points in conjugate order.
+    """
+    values = np.fft.fft(f.coeffs, 4 * f.truncation)
     return bool(np.max(np.abs(np.abs(values) - 1.0)) < INNER_MODULUS_TOL)
 
 
@@ -104,74 +99,58 @@ def is_numerically_inner(f: AnalyticSeries) -> bool:
 class LinearClause:
     """One linear condition on the coefficient tuple.
 
-    mats holds one rows-by-truncation block per slot; None marks a slot the
-    clause does not touch.  The clause reads: sum_j mats[j] @ k_j = 0.
+    symbols holds one circle symbol per slot; None marks a slot the clause
+    does not touch.  The clause reads: sum_j (T_{symbols[j]} k_j)[rows] = 0.
     """
 
     label: str
-    mats: tuple
-
-    def __post_init__(self) -> None:
-        rows = {m.shape[0] for m in self.mats if m is not None}
-        if len(rows) > 1:
-            raise InputError(f"clause {self.label!r} mixes row counts {sorted(rows)}")
-        for m in self.mats:
-            if m is not None:
-                m.flags.writeable = False
-
-    @property
-    def row_count(self) -> int:
-        for m in self.mats:
-            if m is not None:
-                return int(m.shape[0])
-        return 0
+    rows: range
+    symbols: tuple
 
 
 def ip_family_clause(
     vectors: Sequence[AnalyticSeries | None], depth: int
 ) -> LinearClause:
-    """Rows <k_j, z^n v_j> summed over slots, for n = 0 .. depth-1."""
-    mats = []
-    for v in vectors:
-        if v is None or v.norm() == 0.0:
-            mats.append(None)
-            continue
-        n = v.truncation
-        rows = np.zeros((depth, n), dtype=np.complex128)
-        for r in range(min(depth, n)):
-            rows[r, r:] = np.conj(v.coeffs[: n - r])
-        mats.append(rows)
-    return LinearClause("moment-family", tuple(mats))
+    """Rows <k_j, z^n v_j> summed over slots, for n = 0 .. depth-1: the
+    first depth rows of T_conj(v_j), all of them zero from N on."""
+    symbols = tuple(
+        None if v is None or v.norm() == 0.0 else conj_on_circle(v) for v in vectors
+    )
+    truncation = next(v.truncation for v in vectors if v is not None)
+    return LinearClause("moment-family", range(min(depth, truncation)), symbols)
 
 
 def model_membership_clause(
     theta_exp: AnalyticSeries, factors: Sequence[AnalyticSeries | None]
 ) -> LinearClause:
-    """sum_j factor_j * k_j must lie in the kernel of the conj-inner operator."""
-    tmat = conj_mult_matrix(theta_exp)
-    mats = tuple(
-        None if f is None else tmat @ mult_matrix(f) for f in factors
+    """sum_j factor_j * k_j must lie in the kernel of T_conj(theta), whose
+    slot blocks T_conj(theta) T_f are T_{conj(theta) f}."""
+    conj_theta = conj_on_circle(theta_exp)
+    symbols = tuple(
+        None if f is None else multiply(conj_theta, embed(f)) for f in factors
     )
-    return LinearClause("model-space", mats)
+    return LinearClause("model-space", range(theta_exp.truncation), symbols)
 
 
 def constant_value_clause(factors: Sequence[AnalyticSeries | None]) -> LinearClause:
-    """sum_j factor_j * k_j must be a constant function."""
-    mats = tuple(
-        None if f is None else mult_matrix(f)[1:, :] for f in factors
-    )
-    return LinearClause("constant-value", mats)
+    """sum_j factor_j * k_j must be a constant function: rows 1 .. N-1 of T_f."""
+    symbols = tuple(None if f is None else embed(f) for f in factors)
+    truncation = next(f.truncation for f in factors if f is not None)
+    return LinearClause("constant-value", range(1, truncation), symbols)
 
 
 def zero_slot_clause(slot_count: int, slot: int, truncation: int) -> LinearClause:
-    mats = [None] * slot_count
-    mats[slot] = np.eye(truncation, dtype=np.complex128)
-    return LinearClause("zero-slot", tuple(mats))
+    symbols = [None] * slot_count
+    symbols[slot] = embed(AnalyticSeries.one(truncation))
+    return LinearClause("zero-slot", range(truncation), tuple(symbols))
 
 
 @dataclass(frozen=True)
 class CgpFrame:
-    """Slot maps, clause family, and invariants for one kernel representation."""
+    """Slot maps, clause family, and invariants for one kernel representation.
+
+    slot_maps holds the circle symbol of each A_j, an analytic function.
+    """
 
     case_tag: str
     branch: str
@@ -184,10 +163,6 @@ class CgpFrame:
     expected_trivial: bool = False
     notes: tuple = ()
 
-    def __post_init__(self) -> None:
-        for m in self.slot_maps:
-            m.flags.writeable = False
-
     @property
     def slot_count(self) -> int:
         return len(self.slot_maps)
@@ -196,8 +171,8 @@ class CgpFrame:
     def degree_pad(self) -> int:
         """Highest degree any slot map adds to a constant coefficient."""
         pad = 0
-        for mat in self.slot_maps:
-            nz = np.nonzero(np.abs(mat[:, 0]) > _PAD_TOL)[0]
+        for g in self.slot_maps:
+            nz = np.nonzero(np.abs(g.analytic_part()) > _PAD_TOL)[0]
             if nz.size:
                 pad = max(pad, int(nz[-1]))
         return pad
@@ -255,7 +230,7 @@ def _zero_symbol_frame(pert: PerturbationSpec, truncation: int) -> CgpFrame:
     f0 = one - np.conj(u.coeffs[0]) * u
     v0 = riesz_project(embed(u) - _abs_squared(u) * u.coeffs[0])
     v1 = riesz_project(laurent_shift(_abs_squared(u), -1))
-    a_shift_u = mult_matrix(shift(u))
+    a_shift_u = embed(shift(u))
     if f0.norm() <= DEGENERATE_BRANCH_TOL:
         return CgpFrame(
             case_tag="hyperplane",
@@ -271,7 +246,7 @@ def _zero_symbol_frame(pert: PerturbationSpec, truncation: int) -> CgpFrame:
         case_tag="hyperplane",
         branch="full",
         truncation=truncation,
-        slot_maps=(mult_matrix(f0), a_shift_u),
+        slot_maps=(embed(f0), a_shift_u),
         clauses=(ip_family_clause([v0, v1], MOMENT_DEPTH),),
         f0=f0,
         constraint_vectors=(("v0", v0), ("v1", v1)),
@@ -297,14 +272,14 @@ def _kernel_line_frame(
     if abs(a0) > DEGENERATE_BRANCH_TOL:
         f0 = (np.conj(a0) / q.norm() ** 2) * q
         if nqs > 0.0:
-            a1 = mult_matrix(shift(q_s * (1.0 / nqs)))
+            a1 = embed(shift(q_s * (1.0 / nqs)))
         else:
-            a1 = np.zeros((truncation, truncation), dtype=np.complex128)
+            a1 = LaurentSeries.zero(truncation)
         return CgpFrame(
             case_tag=case_tag,
             branch="nonvanishing-mean",
             truncation=truncation,
-            slot_maps=(mult_matrix(f0), a1),
+            slot_maps=(embed(f0), a1),
             clauses=(
                 constant_value_clause([one, None]),
                 zero_slot_clause(2, 1, truncation),
@@ -316,7 +291,7 @@ def _kernel_line_frame(
         case_tag=case_tag,
         branch="vanishing-mean",
         truncation=truncation,
-        slot_maps=(mult_matrix(q * (1.0 / nqs)),),
+        slot_maps=(embed(q * (1.0 / nqs)),),
         clauses=(constant_value_clause([one]),),
         f0=AnalyticSeries.zero(truncation),
         isometric=abs(q.norm() / nqs - 1.0) < DEGENERATE_BRANCH_TOL,
@@ -360,7 +335,7 @@ def _conj_inner_frame(inst: Instance) -> CgpFrame:
             case_tag="conj-inner",
             branch="model-space",
             truncation=truncation,
-            slot_maps=(mult_matrix(p_model),),
+            slot_maps=(embed(p_model),),
             clauses=(model_membership_clause(theta_exp, [p_model]),),
             f0=p_model,
         )
@@ -369,7 +344,7 @@ def _conj_inner_frame(inst: Instance) -> CgpFrame:
     # and the factors of its model-membership and constant-value clauses.
     c_tv = np.conj(theta0 * v_at_zero) / v.norm() ** 2
     p_ambient = p_model + c_tv * theta_v
-    a1 = mult_matrix(multiply_analytic(theta_exp, v - v_at_zero * one) * (1.0 / nsv))
+    a1 = embed(multiply_analytic(theta_exp, v - v_at_zero * one) * (1.0 / nsv))
     model_factors = [p_model, theta_exp * (-v_at_zero / nsv)]
     value_factors = [one * c_tv, one * (1.0 / nsv)]
     if divisible:
@@ -377,7 +352,7 @@ def _conj_inner_frame(inst: Instance) -> CgpFrame:
             case_tag="conj-inner",
             branch="extended-model-space",
             truncation=truncation,
-            slot_maps=(mult_matrix(p_ambient), a1),
+            slot_maps=(embed(p_ambient), a1),
             clauses=(
                 model_membership_clause(theta_exp, model_factors),
                 constant_value_clause(value_factors),
@@ -387,7 +362,7 @@ def _conj_inner_frame(inst: Instance) -> CgpFrame:
     wt = w_theta(theta_v, u - u1)
     nu1 = u1.norm()
     e2 = u1 * (1.0 / nu1)
-    a2 = mult_matrix(shift(e2))
+    a2 = embed(shift(e2))
     v2 = riesz_project(laurent_shift(_abs_squared(u1), -1)) * (1.0 / nu1)
     membership = model_membership_clause(theta_exp, model_factors + [None])
     if abs(wt) > DEGENERATE_BRANCH_TOL:
@@ -412,7 +387,7 @@ def _conj_inner_frame(inst: Instance) -> CgpFrame:
             case_tag="conj-inner",
             branch="split",
             truncation=truncation,
-            slot_maps=(mult_matrix(f0), a1, a2),
+            slot_maps=(embed(f0), a1, a2),
             clauses=(
                 membership,
                 constant_value_clause(
@@ -437,7 +412,7 @@ def _conj_inner_frame(inst: Instance) -> CgpFrame:
         case_tag="conj-inner",
         branch="orthogonal-split",
         truncation=truncation,
-        slot_maps=(mult_matrix(f0), a1, a2),
+        slot_maps=(embed(f0), a1, a2),
         clauses=(
             membership,
             constant_value_clause(value_factors + [None]),
@@ -509,8 +484,8 @@ def build_monomial_split_frame(
     one = AnalyticSeries.one(truncation)
     v_at_zero = v.coeffs[0]
     nsv = backshift(v).norm()
-    a1 = mult_matrix(multiply_analytic(theta_exp, v - v_at_zero * one) * (1.0 / nsv))
-    a2 = mult_matrix(shift(AnalyticSeries.monomial(power - 1, truncation)))
+    a1 = embed(multiply_analytic(theta_exp, v - v_at_zero * one) * (1.0 / nsv))
+    a2 = embed(shift(AnalyticSeries.monomial(power - 1, truncation)))
     v0 = AnalyticSeries.monomial(power - 1, truncation, 0.25) + np.conj(wt) * theta_v
     v1 = riesz_project(
         multiply(embed(v), conj_on_circle(v - v_at_zero * one))
@@ -519,7 +494,7 @@ def build_monomial_split_frame(
         case_tag="monomial-split",
         branch="split",
         truncation=truncation,
-        slot_maps=(np.eye(truncation, dtype=np.complex128), a1, a2),
+        slot_maps=(embed(one), a1, a2),
         clauses=(
             model_membership_clause(
                 theta_exp, [one, theta_exp * (-v_at_zero / nsv), None]
@@ -549,14 +524,17 @@ def monomial_split_expected_kernel(
 
 
 def _stack_clauses(frame: CgpFrame, cap: int) -> np.ndarray:
+    """Every clause's row band of its slot blocks, each block cap columns wide."""
     blocks = []
     for clause in frame.clauses:
-        rows = clause.row_count
-        if rows == 0:
+        if all(g is None for g in clause.symbols):
             continue
+        rows = clause.rows
         parts = [
-            np.zeros((rows, cap), dtype=np.complex128) if m is None else m[:, :cap]
-            for m in clause.mats
+            np.zeros((len(rows), cap), dtype=np.complex128)
+            if g is None
+            else toeplitz_block(g, rows.stop, cap)[rows.start :]
+            for g in clause.symbols
         ]
         blocks.append(np.hstack(parts))
     if not blocks:
@@ -585,32 +563,36 @@ def _tuple_space(
     a stacked tuple to sum_j A_j k_j.
     """
     clauses = _stack_clauses(frame, cap)
-    big = np.hstack([m[:, :cap] for m in frame.slot_maps])
+    n = frame.truncation
+    big = np.hstack([toeplitz_block(g, n, cap) for g in frame.slot_maps])
     return clauses, _nullspace(clauses, rank_tol), big
 
 
-def _clause_violation(clauses: np.ndarray, solution: np.ndarray) -> np.ndarray:
-    """Per column: largest clause residual over max(1, |stacked tuple|)."""
-    worst = np.max(np.abs(clauses @ solution), axis=0, initial=0.0)
-    return worst / np.maximum(1.0, np.linalg.norm(solution, axis=0))
+def _clause_violation(clauses: np.ndarray, solution: np.ndarray) -> float:
+    """|clauses @ solution|_2 over max(1, |solution|_2), in spectral norms."""
+    if not clauses.size:
+        return 0.0
+    worst = np.linalg.norm(clauses @ solution, 2)
+    return float(worst / max(1.0, np.linalg.norm(solution, 2)))
 
 
 def _reverse_fit(
     frame: CgpFrame, targets: np.ndarray, cap: int, rank_tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slot tuples for every column of targets, with fits and violations.
+) -> tuple[np.ndarray, float, float]:
+    """Slot tuples for every column of targets, with the fit and violation.
 
     Every tuple is the least-squares fit within the clause nullspace B:
     solution = B @ lstsq(big @ B, targets), one solve for all columns
     (the null-space method, Golub & Van Loan, Matrix Computations, sec.
-    6.2).  An empty nullspace gives zero tuples.  A column's fit is its
-    residual norm relative to max(1, |target|).
+    6.2).  An empty nullspace gives zero tuples.  The fit is the spectral
+    norm of big @ solution - targets.  The solution is linear in the
+    targets, so for an orthonormal frame of targets neither the fit nor
+    the violation depends on the frame's basis.
     """
     clauses, basis, big = _tuple_space(frame, cap, rank_tol)
     reduced, *_ = np.linalg.lstsq(big @ basis, targets, rcond=None)
     solution = basis @ reduced
-    fit = np.linalg.norm(big @ solution - targets, axis=0)
-    fit /= np.maximum(1.0, np.linalg.norm(targets, axis=0))
+    fit = float(np.linalg.norm(big @ solution - targets, 2))
     return solution, fit, _clause_violation(clauses, solution)
 
 
@@ -720,14 +702,14 @@ def check_corollary(
     constraint_max = 0.0
     norm_err: float | None = 0.0 if frame.isometric else None
     if m.dim:
-        solution, fit, violation = _reverse_fit(frame, m.frame, cap_rev, rank_tol)
-        reverse_max = float(np.max(fit))
-        constraint_max = float(np.max(violation))
+        solution, reverse_max, constraint_max = _reverse_fit(
+            frame, m.frame, cap_rev, rank_tol
+        )
         if frame.isometric:
-            # sum_j |k_j|^2 is the squared norm of the stacked tuple.
-            target_sq = np.linalg.norm(m.frame, axis=0) ** 2
-            tuple_sq = np.linalg.norm(solution, axis=0) ** 2
-            norm_err = float(np.max(np.abs(target_sq - tuple_sq)))
+            # sum_j <k_j, k'_j> is the inner product of the stacked tuples,
+            # so their Gram matrix must be the kernel frame's.
+            gram_gap = solution.conj().T @ solution - m.frame.conj().T @ m.frame
+            norm_err = float(np.linalg.norm(gram_gap, 2))
     audit: float | None = None
     if image.dim and m.dim:
         if image.dim == m.dim:
@@ -753,8 +735,8 @@ def check_corollary(
         k_dim_sampled=k_dim,
         forward_max_residual=forward_max,
         backshift_max_violation=backshift_max,
-        reverse_max_residual=float(reverse_max),
-        constraint_max_violation=float(constraint_max),
+        reverse_max_residual=reverse_max,
+        constraint_max_violation=constraint_max,
         f0_membership_residual=float(f0_resid),
         norm_identity_max_error=None if norm_err is None else float(norm_err),
         subspace_angle_audit=audit,

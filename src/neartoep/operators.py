@@ -252,13 +252,21 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", arr)
 
 
+def toeplitz_block(g: LaurentSeries, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols corner of T_g: entry (j, k) is the Fourier coefficient
+    of g at j - k, for 1 <= rows, cols <= N."""
+    n = g.truncation
+    if not (1 <= rows <= n and 1 <= cols <= n):
+        raise InputError(f"block {rows} x {cols} outside truncation {n}")
+    # Row j of the windows over indices -(cols-1)..rows-1 holds indices
+    # j-(cols-1)..j; reversed it is j, j-1, ..., j-(cols-1).
+    windows = sliding_window_view(g.coeffs[n - cols + 1 : n + rows], cols)
+    return np.ascontiguousarray(windows[:, ::-1])
+
+
 def toeplitz_matrix(g: LaurentSeries) -> OperatorMatrix:
     """Matrix with entry (j, k) equal to the Fourier coefficient of g at j - k."""
-    n = g.truncation
-    # Row j of the windows over indices -(n-1)..n-1 holds indices j-(n-1)..j;
-    # reversed it is j, j-1, ..., j-(n-1).
-    windows = sliding_window_view(g.coeffs[1 : 2 * n], n)
-    return OperatorMatrix(np.ascontiguousarray(windows[:, ::-1]), n)
+    return OperatorMatrix(toeplitz_block(g, g.truncation, g.truncation), g.truncation)
 
 
 def perturbed_matrix(base: OperatorMatrix, pert: PerturbationSpec) -> OperatorMatrix:

@@ -20,7 +20,7 @@ import numpy as np  # noqa: E402
 
 from neartoep.blaschke import BlaschkeProduct, blaschke_expand  # noqa: E402
 from neartoep.operators import PerturbationSpec, toeplitz_matrix  # noqa: E402
-from neartoep.series import AnalyticSeries, conj_on_circle  # noqa: E402
+from neartoep.series import AnalyticSeries, conj_on_circle, embed  # noqa: E402
 from neartoep.subspaces import kernel_subspace  # noqa: E402
 
 NORM_FLOOR = 1e-3
@@ -108,6 +108,47 @@ def svd_kernel(inst):
     window [0, N // 2), which the library takes only for
     trigonometric-polynomial symbols."""
     return kernel_subspace(inst.operator, inst.rank_tol, column_cap=inst.column_cap)
+
+
+def dense_clause_mats(builder, args):
+    """The slot blocks of a cgp clause as full N-column matrices, built the
+    dense way from the clause builder's own arguments: the reference for the
+    row bands of Toeplitz blocks that cgp builds from circle symbols.  None
+    marks a slot the clause does not touch.
+
+    A model-space block is the product T_conj(theta) T_f taken at 2N and cut
+    to N x N.  theta and f stop at degree N - 1, so at 2N the product drops
+    no term; an N x N product drops conj(theta[l - i]) f[l - k] for l >= N.
+    """
+
+    def mult(f):
+        return toeplitz_matrix(embed(f)).entries
+
+    if builder == "ip_family_clause":
+        vectors, depth = args
+        mats = []
+        for v in vectors:
+            if v is None or v.norm() == 0.0:
+                mats.append(None)
+                continue
+            n = v.truncation
+            rows = np.zeros((depth, n), dtype=np.complex128)
+            for r in range(min(depth, n)):
+                rows[r, r:] = np.conj(v.coeffs[: n - r])
+            mats.append(rows)
+        return mats
+    if builder == "model_membership_clause":
+        theta_exp, factors = args
+        n = theta_exp.truncation
+        tmat = toeplitz_matrix(conj_on_circle(theta_exp.resized(2 * n))).entries
+        return [None if f is None else (tmat @ mult(f.resized(2 * n)))[:n, :n] for f in factors]
+    if builder == "constant_value_clause":
+        (factors,) = args
+        return [None if f is None else mult(f)[1:, :] for f in factors]
+    slot_count, slot, truncation = args  # zero_slot_clause
+    mats = [None] * slot_count
+    mats[slot] = np.eye(truncation, dtype=np.complex128)
+    return mats
 
 
 def disk_invertible_poly(rng, truncation, max_degree=3):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import linalg_calls, seeded_perturbation
-from neartoep import cgp
+from conftest import count_calls, dense_clause_mats, linalg_calls, seeded_perturbation
+from neartoep import cgp, operators
+from neartoep.catalogue import run_catalogue
 from neartoep.blaschke import BlaschkeProduct, blaschke_expand
 from neartoep.cgp import (
     build_cgp_frame,
@@ -109,7 +110,14 @@ def test_constant_direction_constraints_are_vacuous():
         rng.standard_normal(N) + 1j * rng.standard_normal(N), N
     )
     clauses = cgp._stack_clauses(frame, N)
-    assert cgp._clause_violation(clauses, arbitrary.coeffs[:, None])[0] < 1e-12
+    assert cgp._clause_violation(clauses, arbitrary.coeffs[:, None]) < 1e-12
+
+
+def test_is_numerically_inner_on_a_blaschke_expansion_and_a_polynomial():
+    theta = BlaschkeProduct.from_points([0.5, -0.3j], z_power=1)
+    assert cgp.is_numerically_inner(blaschke_expand(theta, N))
+    # unit norm, but |0.6 + 0.8i z| runs from 0.2 to 1.4 on the circle
+    assert not cgp.is_numerically_inner(AnalyticSeries.from_coeffs([0.6, 0.8j], N))
 
 
 def test_decompose_shifted_space_recovers_coefficients():
@@ -119,7 +127,7 @@ def test_decompose_shifted_space_recovers_coefficients():
     q = AnalyticSeries.from_coeffs([1.0, -2.0, 3j], N)
     f = shift(q)
     solution, fit, _ = cgp._reverse_fit(frame, f.coeffs[:, None], CAP, 1e-9)
-    assert fit[0] < 1e-12
+    assert fit < 1e-12
     assert np.max(np.abs(solution[:4, 0] - q.coeffs[:4])) < 1e-10
 
 
@@ -128,8 +136,8 @@ def test_decompose_f0_fits_exactly():
     v = AnalyticSeries.from_coeffs([0, 1.0], N)
     frame = build_cgp_frame(ZeroSymbol(), rank_one(u, v), N)
     solution, fit, violation = cgp._reverse_fit(frame, frame.f0.coeffs[:, None], CAP, 1e-9)
-    assert fit[0] < 1e-12 and violation[0] < cgp.CONSTRAINT_TOL
-    rebuilt = np.hstack([m[:, :CAP] for m in frame.slot_maps]) @ solution[:, 0]
+    assert fit < 1e-12 and violation < cgp.CONSTRAINT_TOL
+    rebuilt = cgp._tuple_space(frame, CAP, 1e-9)[2] @ solution[:, 0]
     assert np.max(np.absolute(rebuilt - frame.f0.coeffs)) < 1e-10
 
 
@@ -154,7 +162,7 @@ def test_inner_line_membership_follows_constant_times_zero():
     zero = AnalyticSeries.zero(N).coeffs
     z_slot = AnalyticSeries.from_coeffs([0, 1.0], N).coeffs
     tuples = np.column_stack([np.concatenate(t) for t in ((const, zero), (zero, z_slot))])
-    member, outsider = cgp._clause_violation(clauses, tuples)
+    member, outsider = (cgp._clause_violation(clauses, t[:, None]) for t in tuples.T)
     assert member < cgp.CONSTRAINT_TOL
     assert outsider > 0.1
 
@@ -286,36 +294,29 @@ def test_remark_projection_formula_matches_direct():
     assert (lhs - rhs).norm() < FORMULA_TOL
 
 
-def _slot_vectors(frame, stacked, cap):
-    """Each slot's full-length coefficient vector, zero above the cap."""
-    k_vectors = np.zeros((frame.slot_count, frame.truncation), dtype=np.complex128)
-    k_vectors[:, :cap] = stacked.reshape(frame.slot_count, cap)
-    return k_vectors
-
-
-def _per_slot_violation(frame, k_vectors):
-    """Largest clause residual, clause by clause and slot by slot, over max(1, |tuple|)."""
-    worst = 0.0
-    for clause in frame.clauses:
-        terms = [mat @ k for mat, k in zip(clause.mats, k_vectors) if mat is not None]
-        if terms:
-            worst = max(worst, float(np.max(np.abs(sum(terms)))))
-    return worst / max(1.0, float(np.linalg.norm(k_vectors)))
+def _full_length(frame, stacked, cap):
+    """The stacked tuples with every slot block zero-padded from cap to N."""
+    blocks = stacked.reshape(frame.slot_count, cap, -1)
+    full = np.zeros((frame.slot_count, frame.truncation, blocks.shape[2]), dtype=np.complex128)
+    full[:, :cap] = blocks
+    return full.reshape(frame.slot_count * frame.truncation, -1)
 
 
 def _per_column_reverse_fit(frame, targets, cap, rank_tol):
     """Reference: one constrained lstsq per column on the clause nullspace,
-    with the clauses applied slot by slot."""
-    big = np.hstack([m[:, :cap] for m in frame.slot_maps])
-    null_basis = cgp._nullspace(cgp._stack_clauses(frame, cap), rank_tol)
-    solutions, fits, violations = [], [], []
+    with the clauses applied to every tuple zero-padded to N coefficients
+    per slot.  Returns the solutions, the residual block and the clause
+    residual block."""
+    _, null_basis, big = cgp._tuple_space(frame, cap, rank_tol)
+    clauses_n = cgp._stack_clauses(frame, frame.truncation)
+    solutions, residuals = [], []
     for target in targets.T:
         reduced = np.linalg.lstsq(big @ null_basis, target, rcond=None)[0]
         stacked = null_basis @ reduced
         solutions.append(stacked)
-        fits.append(np.linalg.norm(big @ stacked - target) / max(1.0, np.linalg.norm(target)))
-        violations.append(_per_slot_violation(frame, _slot_vectors(frame, stacked, cap)))
-    return np.column_stack(solutions), np.array(fits), np.array(violations)
+        residuals.append(big @ stacked - target)
+    solution = np.column_stack(solutions)
+    return solution, np.column_stack(residuals), clauses_n @ _full_length(frame, solution, cap)
 
 
 def _zero_symbol_binomial():
@@ -338,28 +339,28 @@ def test_batched_reverse_fit_matches_per_column_reference(instance):
     cap = min(N - frame.degree_pad, max(cgp.MOMENT_DEPTH, inst.column_cap))
     args = (frame, targets, cap, inst.rank_tol)
     solution, fit, violation = cgp._reverse_fit(*args)
-    ref_solution, ref_fit, ref_violation = _per_column_reverse_fit(*args)
+    ref_solution, residuals, clause_residuals = _per_column_reverse_fit(*args)
     scale = np.linalg.norm(ref_solution, axis=0)
     assert np.all(np.linalg.norm(solution - ref_solution, axis=0) <= 1e-12 * scale)
-    assert np.max(np.abs(fit - ref_fit)) < 1e-14
-    assert np.max(np.abs(violation - ref_violation)) < 1e-14
+    assert abs(fit - np.linalg.norm(residuals, 2)) < 1e-14
+    ref_violation = np.linalg.norm(clause_residuals, 2) / max(1.0, np.linalg.norm(ref_solution, 2))
+    assert abs(violation - ref_violation) < 1e-14
 
 
 def _per_tuple_forward_check(inst, frame):
     """Reference: the forward check one nullspace column at a time, each slot
     a full-length vector, S* applied to every slot; the residuals are 2-norms
     over an orthonormal frame of the images and over all shifted tuples."""
-    cap = min(cgp.MOMENT_DEPTH, inst.truncation - frame.degree_pad)
-    null_fwd = cgp._nullspace(cgp._stack_clauses(frame, cap), inst.rank_tol)
+    n = inst.truncation
+    cap = min(cgp.MOMENT_DEPTH, n - frame.degree_pad)
+    null_fwd = cgp._tuple_space(frame, cap, inst.rank_tol)[1]
+    clauses_n, _, big_n = cgp._tuple_space(frame, n, inst.rank_tol)
     images, shifted_residuals = [], []
     for stacked in null_fwd.T:
-        k_vectors = _slot_vectors(frame, stacked, cap)
-        images.append(sum(mat @ k for mat, k in zip(frame.slot_maps, k_vectors)))
+        k_vectors = _full_length(frame, stacked, cap).reshape(frame.slot_count, n)
+        images.append(big_n @ k_vectors.reshape(-1))
         shifted = [np.append(k[1:], 0.0) for k in k_vectors]
-        shifted_residuals.append(np.concatenate([
-            sum(mat @ k for mat, k in zip(clause.mats, shifted) if mat is not None)
-            for clause in frame.clauses
-        ]))
+        shifted_residuals.append(clauses_n @ np.concatenate(shifted))
     image_frame = scipy.linalg.orth(np.column_stack(images))
     forward = np.linalg.norm(inst.operator.entries @ image_frame, 2)
     backshift_worst = np.linalg.norm(np.column_stack(shifted_residuals), 2)
@@ -431,12 +432,14 @@ def _moment_rows_read_in_full(frame, cap):
     on tuples supported on [0, cap): r + deg v_j < cap for each slot j.
 
     Row 0 of ip_family_clause holds conj(v_j) in slot j, so the vectors are
-    read back from the frame's own clause.
+    read back from the frame's own clause, stacked at full width.
     """
+    n = frame.truncation
     clause = next(c for c in frame.clauses if c.label == "moment-family")
+    row0 = cgp._stack_clauses(dataclasses.replace(frame, clauses=(clause,)), n)[0]
     vectors = [
-        None if m is None else AnalyticSeries(m[0].conj(), frame.truncation)
-        for m in clause.mats
+        None if g is None else AnalyticSeries(row0[j * n : (j + 1) * n].conj(), n)
+        for j, g in enumerate(clause.symbols)
     ]
     depth = cap - max(v.degree() for v in vectors if v is not None)
     full = cgp.ip_family_clause(vectors, depth)
@@ -457,7 +460,7 @@ def _zero_symbol_catalogue_binomial(n):
     strict=True,
     reason="ROADMAP items 1(a) and 3: the moment rows stop at MOMENT_DEPTH = 48 "
     "while the reverse fit reads tuples on 64 coefficients at N = 128, so the "
-    "fitted tuples break the deeper rows (0.22 to 0.41) though the check passes",
+    "fitted tuples break the deeper rows (0.21 to 0.87) though the check passes",
 )
 def test_reverse_fit_tuples_meet_every_moment_row_they_read_in_full():
     n = 128
@@ -474,5 +477,109 @@ def test_reverse_fit_tuples_meet_every_moment_row_they_read_in_full():
         cap = min(n - frame.degree_pad, max(cgp.MOMENT_DEPTH, inst.column_cap))
         solution = cgp._reverse_fit(frame, inst.kernel.frame, cap, inst.rank_tol)[0]
         rows = _moment_rows_read_in_full(frame, cap)
-        worst[name] = float(np.max(cgp._clause_violation(rows, solution)))
+        worst[name] = cgp._clause_violation(rows, solution)
     assert all(v < cgp.CONSTRAINT_TOL for v in worst.values()), worst
+
+
+CLAUSE_BUILDERS = (
+    "ip_family_clause",
+    "model_membership_clause",
+    "constant_value_clause",
+    "zero_slot_clause",
+)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_catalogue_blocks_match_the_dense_construction(monkeypatch, n):
+    """Every slot-map and clause block the catalogue's checks build at their
+    column caps equals the dense construction cut to the cap: exactly, and
+    the model-space blocks T_{conj(theta) f} to round-off, since the dense
+    product T_conj(theta) T_f sums in another order."""
+    built = {}
+    for name in CLAUSE_BUILDERS:
+
+        def recorded(*args, _name=name, _original=getattr(cgp, name)):
+            clause = _original(*args)
+            built[id(clause)] = (_name, args)
+            return clause
+
+        monkeypatch.setattr(cgp, name, recorded)
+    spaces = []
+    tuple_space = cgp._tuple_space
+
+    def recorded_space(frame, cap, rank_tol):
+        out = tuple_space(frame, cap, rank_tol)
+        spaces.append((frame, cap, out[0], out[2]))
+        return out
+
+    monkeypatch.setattr(cgp, "_tuple_space", recorded_space)
+    run_catalogue(n)
+    assert spaces
+    model_gap = 0.0
+    for frame, cap, clauses, big in spaces:
+        assert cap < n
+        want_big = np.hstack([toeplitz_matrix(g).entries[:, :cap] for g in frame.slot_maps])
+        assert np.array_equal(big, want_big)
+        row = 0
+        for clause in frame.clauses:
+            mats = dense_clause_mats(*built[id(clause)])
+            if all(m is None for m in mats):
+                continue
+            height = next(m.shape[0] for m in mats if m is not None)
+            want = np.hstack([
+                np.zeros((height, cap), dtype=np.complex128) if m is None else m[:, :cap]
+                for m in mats
+            ])
+            got = clauses[row : row + height]
+            row += height
+            if clause.label == "model-space":
+                model_gap = max(model_gap, float(np.max(np.abs(got - want))))
+            else:
+                assert np.array_equal(got, want), clause.label
+        assert row == clauses.shape[0]
+    assert model_gap < 1e-13
+
+
+def test_catalogue_builds_no_full_width_toeplitz_block(monkeypatch):
+    blocks = count_calls(monkeypatch, operators, "toeplitz_block")
+    matrices = count_calls(monkeypatch, operators, "toeplitz_matrix")
+    run_catalogue(64)
+    assert blocks
+    assert all(args[2] < 64 for args, _ in blocks)
+    assert not matrices
+
+
+REVERSE_FIELDS = ("reverse_max_residual", "constraint_max_violation", "norm_identity_max_error")
+
+
+def test_reverse_numbers_do_not_depend_on_the_kernel_basis(monkeypatch):
+    """Every rep-* row read again with its kernel frame turned by a seeded
+    random unitary: the reverse-direction numbers are spectral norms over
+    the frame, so they stay put, and so does every verdict."""
+    base = {row.row_id: row for row in run_catalogue(64)}
+    kernel = Instance.kernel
+    rng = np.random.default_rng(3)
+
+    def rotated(inst):
+        m = kernel.fget(inst)
+        k = m.dim
+        gauss = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        return dataclasses.replace(m, frame=m.frame @ np.linalg.qr(gauss)[0])
+
+    monkeypatch.setattr(Instance, "kernel", property(rotated))
+    turned = {row.row_id: row for row in run_catalogue(64)}
+    rep_rows = [row_id for row_id in base if row_id.startswith("rep-")]
+    assert rep_rows
+    for row_id, row in base.items():
+        assert turned[row_id].passed == row.passed, row_id
+    for row_id in rep_rows:
+        want = base[row_id].details["representation"]
+        got = turned[row_id].details["representation"]
+        assert got["passed"] == want["passed"], row_id
+        for name in REVERSE_FIELDS:
+            if want[name] is None:
+                assert got[name] is None, (row_id, name)
+            else:
+                assert abs(got[name] - want[name]) <= 1e-13, (row_id, name)
+    constant = base["rep-annihilator-constant-direction"].details["representation"]
+    assert constant["norm_identity_max_error"] is not None

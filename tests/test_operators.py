@@ -18,6 +18,7 @@ from neartoep.operators import (
     perturbed_matrix,
     symbol_fourier,
     symbol_from_json,
+    toeplitz_block,
     toeplitz_matrix,
     toeplitz_product_residual,
 )
@@ -48,6 +49,24 @@ def test_toeplitz_matrix_matches_scipy_toeplitz_exactly(n):
     col = coeffs[n : 2 * n]
     row = coeffs[n:0:-1]
     assert np.array_equal(toeplitz_matrix(g).entries, scipy.linalg.toeplitz(col, row))
+
+
+@pytest.mark.parametrize(
+    "n, rows, cols", [(1, 1, 1), (3, 1, 3), (3, 3, 1), (64, 48, 17), (64, 5, 64), (257, 256, 100)]
+)
+def test_toeplitz_block_matches_scipy_toeplitz_exactly(n, rows, cols):
+    rng = np.random.default_rng(n + rows + cols)
+    coeffs = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
+    g = LaurentSeries(coeffs, n)
+    col = coeffs[n : n + rows]
+    row = coeffs[n : n - cols : -1]
+    assert np.array_equal(toeplitz_block(g, rows, cols), scipy.linalg.toeplitz(col, row))
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 4), (4, 0), (9, 4), (4, 9)])
+def test_toeplitz_block_outside_the_truncation_is_rejected(rows, cols):
+    with pytest.raises(InputError):
+        toeplitz_block(LaurentSeries.zero(8), rows, cols)
 
 
 def test_adjoint_is_conjugate_symbol_exactly():
