@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .series import AnalyticSeries, multiply_analytic
+from .series import AnalyticSeries, multiply_analytic, powers
 
 UNIMODULAR_TOL = 1e-10
 
@@ -79,9 +79,7 @@ def _factor_series(point: complex, truncation: int) -> AnalyticSeries:
     """Taylor coefficients of (point - z)/(1 - conj(point) z)."""
     coeffs = np.empty(truncation, dtype=np.complex128)
     coeffs[0] = point
-    if truncation > 1:
-        n = np.arange(1, truncation)
-        coeffs[1:] = -(1.0 - abs(point) ** 2) * np.conj(point) ** (n - 1)
+    coeffs[1:] = -(1.0 - abs(point) ** 2) * powers(np.conj(point), truncation - 1)
     return AnalyticSeries(coeffs, truncation)
 
 

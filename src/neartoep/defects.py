@@ -34,9 +34,11 @@ from .operators import (
 )
 from .series import (
     AnalyticSeries,
+    cauchy_product,
     conj_on_circle,
     embed,
     multiply,
+    powers,
     taylor_invert,
 )
 from .subspaces import (
@@ -96,13 +98,13 @@ def model_space(
     basis = []
     for _ in range(theta.z_power):
         basis.append(prefix)
-        prefix = np.convolve(prefix, [0.0, 1.0])[:n]
+        prefix = cauchy_product(prefix, [0.0, 1.0], n)
     for point, multiplicity in theta.zeros:
-        kernel_dir = np.conj(point) ** np.arange(n)
+        kernel_dir = powers(np.conj(point), n)
         for _ in range(multiplicity):
-            basis.append(np.convolve(prefix, kernel_dir)[:n])
+            basis.append(cauchy_product(prefix, kernel_dir, n))
             # prefix * b_a = (prefix * k_a) * (a - z)
-            prefix = np.convolve(basis[-1], [point, -1.0])[:n]
+            prefix = cauchy_product(basis[-1], [point, -1.0], n)
     return span(basis, n, rank_tol)
 
 
@@ -237,7 +239,7 @@ class Instance:
 
     @cached_property
     def defect(self) -> DefectReport:
-        """Minimal near-invariance defect of the kernel, from its window complement."""
+        """Minimal near-invariance defect of the kernel, on its column window."""
         return minimal_defect(self.kernel, self.vanishing)
 
     @cached_property
@@ -314,9 +316,10 @@ class Instance:
         - invertible f1 conj(f2): x = -C V c and (I + U^H C V) c = 0;
         - conjugate inner: x = -C V c + K b, the second term spanning
           ker T_conj(theta), and (I + U^H C V) c = U^H K b.
-        The solutions are orthonormalized over all N coefficients and cut
-        to the column window [0, N // 2), which carries its complement as
-        kernel_subspace's does; svals are the system's singular values, one
+        The solutions are orthonormalized over all N coefficients, cut to
+        the column window [0, N // 2) and orthonormalized there by a thin
+        QR, so the kernel records its window but no complement, which is
+        the wide side; svals are the system's singular values, one
         per unknown (exact zeros pad a wide system), cut at
         rank_tol * max(1, s0).  Trigonometric-polynomial symbols take the
         SVD of the operator's N x N // 2 window (kernel_subspace), tail 0.
@@ -333,7 +336,7 @@ class Instance:
             frame[:cap] = np.linalg.qr(comp, mode="complete")[0][:, rank:]
             kernel = Subspace(
                 frame, n, self.rank_tol, degenerate=svals[0] <= ZERO_OPERATOR_FLOOR,
-                svals=tuple(svals), complement=comp,
+                svals=tuple(svals), window=cap, complement=comp,
             )
             return KernelSolution(kernel, 0.0, cut)
         cv = self.corrected_v
@@ -351,12 +354,9 @@ class Instance:
         q, _ = np.linalg.qr(solutions @ null)
         dim = q.shape[1]
         tail = float(np.linalg.norm(q[cap:], 2)) if dim else 0.0
-        window = np.linalg.qr(q[:cap], mode="complete")[0]
         frame = np.zeros((n, dim), dtype=np.complex128)
-        frame[:cap] = window[:, :dim]
-        kernel = Subspace(
-            frame, n, self.rank_tol, svals=tuple(svals), complement=window[:, dim:]
-        )
+        frame[:cap] = np.linalg.qr(q[:cap])[0]
+        kernel = Subspace(frame, n, self.rank_tol, svals=tuple(svals), window=cap)
         return KernelSolution(kernel, tail, cut)
 
     @cached_property
@@ -386,9 +386,7 @@ class Instance:
         0..N-1 of theta q meet x.
         """
         n, q = self.truncation, self.negative_frame
-        theta_q = np.column_stack(
-            [np.convolve(self.theta.coeffs, col)[n : 2 * n] for col in q.T]
-        )
+        theta_q = cauchy_product(self.theta.coeffs, q, 2 * n)[n:]
         return theta_q, q[n : 2 * n].conj().T @ _backshift_columns(self.v_matrix)
 
     @cached_property
@@ -451,21 +449,17 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def _multiply_columns(f: np.ndarray, cols: np.ndarray, rows: int | None = None) -> np.ndarray:
     """Multiplication by the analytic f on every column, cut to rows (default N) coefficients."""
-    rows = cols.shape[0] if rows is None else rows
-    out = np.zeros((rows, cols.shape[1]), dtype=np.complex128)
-    for j in range(cols.shape[1]):
-        full = np.convolve(f, cols[:, j])[:rows]
-        out[: full.size, j] = full
-    return out
+    return cauchy_product(f, cols, cols.shape[0] if rows is None else rows)
 
 
 def _conj_toeplitz_columns(f: np.ndarray, cols: np.ndarray, rows: int | None = None) -> np.ndarray:
-    """T_conj(f) on every column: coefficient k < rows (default N) is sum_m conj(f[m]) c[k + m]."""
+    """T_conj(f) on every column: coefficient k < rows (default N) is sum_m conj(f[m]) c[k + m].
+
+    That is coefficient k + deg of the product of the reversed conj(f), of
+    length f.size = deg + 1, with the column.
+    """
     rows = cols.shape[0] if rows is None else rows
-    out = np.zeros((rows, cols.shape[1]), dtype=np.complex128)
-    for j in range(cols.shape[1]):
-        out[:, j] = np.correlate(cols[:, j], f, "full")[f.size - 1 : f.size - 1 + rows]
-    return out
+    return cauchy_product(np.conj(f[::-1]), cols, f.size - 1 + rows)[f.size - 1 :]
 
 
 def _backshift_columns(mat: np.ndarray) -> np.ndarray:

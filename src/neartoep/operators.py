@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -17,7 +17,6 @@ from .series import (
     embed,
     multiply,
     require_disk_invertible,
-    riesz_project,
 )
 
 ORTHONORMAL_TOL = 1e-10

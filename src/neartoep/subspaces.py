@@ -87,9 +87,12 @@ class Subspace:
     rank_tol: float = DEFAULT_RANK_TOL
     degenerate: bool = False
     svals: tuple[float, ...] = field(default=(), compare=False)
-    # Orthonormal frame of the window's range side for a kernel cut from
-    # coefficients [0, cap): cap x (cap - dim), so frame and complement
-    # together span the window.  None for subspaces built any other way.
+    # The column cap of a kernel cut from coefficients [0, cap): its frame
+    # vanishes from row cap on.  None for subspaces built any other way.
+    window: int | None = field(default=None, compare=False)
+    # Orthonormal frame of the window's part of the orthogonal complement,
+    # cap x (cap - dim), kept where it is the thin side or comes for free:
+    # a cofinite kernel's and kernel_subspace's.  None otherwise.
     complement: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -106,10 +109,12 @@ class Subspace:
         arr.setflags(write=False)
         object.__setattr__(self, "frame", arr)
         object.__setattr__(self, "svals", tuple(float(s) for s in self.svals))
+        if self.window is not None and not 0 < self.window <= self.truncation:
+            raise InputError(f"window {self.window} outside 1..{self.truncation}")
         if self.complement is not None:
             comp = np.asarray(self.complement, dtype=np.complex128)
-            if comp.ndim != 2 or comp.shape[0] > self.truncation:
-                raise InputError(f"complement shape {comp.shape} disagrees with truncation")
+            if comp.ndim != 2 or comp.shape[0] != self.window:
+                raise InputError(f"complement shape {comp.shape} disagrees with the window")
             comp.setflags(write=False)
             object.__setattr__(self, "complement", comp)
 
@@ -188,7 +193,7 @@ def kernel_subspace(
         frame = np.zeros((n, cap), dtype=np.complex128)
         frame[:cap, :cap] = np.eye(cap)
         return Subspace(
-            frame, n, rank_tol, degenerate=True, svals=tuple(s),
+            frame, n, rank_tol, degenerate=True, svals=tuple(s), window=cap,
             complement=np.zeros((cap, 0), dtype=np.complex128),
         )
     # s is sorted descending, so the null rows of vh are a suffix.
@@ -196,7 +201,7 @@ def kernel_subspace(
     frame = np.zeros((n, cap - rank), dtype=np.complex128)
     frame[:cap, :] = vh[rank:][::-1].conj().T
     return Subspace(
-        _fix_phases(frame), n, rank_tol, svals=tuple(s),
+        _fix_phases(frame), n, rank_tol, svals=tuple(s), window=cap,
         complement=vh[:rank].conj().T,
     )
 
@@ -367,26 +372,37 @@ class DefectReport:
 def minimal_defect(m: Subspace, w: Subspace) -> DefectReport:
     """Rank of the part of S*w sticking out of m, for w = vanish_at_zero(m).
 
-    m must be a kernel_subspace result: inside its column window
-    [0, cap) the complement frame C spans the orthogonal complement of m,
-    and S*w stays in the window, so the part outside m is C (C^H S*w).
-    Its singular values and left singular vectors come from the small
-    (cap - dim m) x dim w matrix C^H S*w, which gives
-    min(cap - dim m, dim w) singular values.  The cut is rank_cut's with
-    floor 1 (frames are orthonormal, so backshifted columns have norm at
-    most one); an empty or fully invariant input reports defect 0.
+    m must be a kernel cut from a column window [0, cap) (m.window); S*w
+    stays in the window, so only its cap rows are read.  With Y = S*w
+    there, the part outside m is Y - M (M^H Y), cap x dim w, for M m's
+    frame.  Where m keeps a window complement C (a cofinite kernel's, or
+    kernel_subspace's), it is C (C^H Y) instead, whose small
+    (cap - dim m) x dim w factor has the same singular values.  Either
+    way there are min(cap - dim m, dim w) of them: the part outside m
+    has no more nonzero ones, and the rest of the thin side's are
+    round-off.  The cut is rank_cut's with floor 1 (frames are
+    orthonormal, so backshifted columns have norm at most one); an empty
+    or fully invariant input reports defect 0.
     """
-    comp = m.complement
-    if comp is None:
-        raise InputError("minimal_defect needs a kernel subspace with its window complement")
+    cap = m.window
+    if cap is None:
+        raise InputError("minimal_defect needs a kernel subspace cut from a column window")
     tol = m.rank_tol
-    cap = comp.shape[0]
     # On the window S*w is w's rows 1..cap-1 followed by a zero row: w
     # vanishes from row cap on, and at cap = N the shift drops the top row.
-    u, s, _ = np.linalg.svd(comp[:-1].conj().T @ w.frame[1:cap], full_matrices=False)
+    comp = m.complement
+    if comp is None:
+        shifted = np.zeros((cap, w.dim), dtype=np.complex128)
+        shifted[:-1] = w.frame[1:cap]
+        inside = m.frame[:cap]
+        outside = shifted - inside @ (inside.conj().T @ shifted)
+        u, s, _ = np.linalg.svd(outside, full_matrices=False)
+        s = s[: min(cap - m.dim, w.dim)]
+    else:
+        u, s, _ = np.linalg.svd(comp[:-1].conj().T @ w.frame[1:cap], full_matrices=False)
     rank = rank_cut(s, tol, floor=1.0)
     frame = np.zeros((m.truncation, rank), dtype=np.complex128)
-    frame[:cap] = comp @ u[:, :rank]
+    frame[:cap] = u[:, :rank] if comp is None else comp @ u[:, :rank]
     return DefectReport(
         frame.shape[1],
         Subspace(_fix_phases(frame), m.truncation, tol),

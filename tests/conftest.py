@@ -21,7 +21,7 @@ import numpy as np  # noqa: E402
 from neartoep.blaschke import BlaschkeProduct, blaschke_expand  # noqa: E402
 from neartoep.operators import PerturbationSpec, toeplitz_matrix  # noqa: E402
 from neartoep.series import AnalyticSeries, conj_on_circle, embed  # noqa: E402
-from neartoep.subspaces import kernel_subspace  # noqa: E402
+from neartoep.subspaces import kernel_subspace, rank_cut  # noqa: E402
 
 NORM_FLOOR = 1e-3
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -108,6 +108,29 @@ def svd_kernel(inst):
     window [0, N // 2), which the library takes only for
     trigonometric-polynomial symbols."""
     return kernel_subspace(inst.operator, inst.rank_tol, column_cap=inst.column_cap)
+
+
+def window_complement(m):
+    """The window's part of the orthogonal complement of the kernel m,
+    cap x (cap - dim m) for cap = m.window, from a complete QR of the
+    frame's window rows: the frame the library kept for every finite kernel
+    before it kept only the thin side."""
+    return np.linalg.qr(m.frame[: m.window], mode="complete")[0][:, m.dim :]
+
+
+def complete_qr_defect(m, w):
+    """The reference minimal defect of the kernel m with w = vanish_at_zero(m):
+    the SVD of C^H S*w for C = window_complement(m), as minimal_defect took it
+    from a complete QR of every finite kernel's window.  Returns the residual
+    frame (N x defect dim, unphased) and the min(cap - dim m, dim w)
+    singular values."""
+    cap = m.window
+    comp = window_complement(m)
+    u, s, _ = np.linalg.svd(comp[:-1].conj().T @ w.frame[1:cap], full_matrices=False)
+    rank = rank_cut(s, m.rank_tol, floor=1.0)
+    frame = np.zeros((m.truncation, rank), dtype=np.complex128)
+    frame[:cap] = comp @ u[:, :rank]
+    return frame, s
 
 
 def dense_clause_mats(builder, args):

@@ -12,6 +12,7 @@ from conftest import (
     seeded_perturbation,
     svd_kernel,
     toeplitz_model_space,
+    window_complement,
 )
 from neartoep import catalogue, cli, defects, operators, series, subspaces
 from neartoep.blaschke import BlaschkeProduct, blaschke_expand
@@ -519,6 +520,70 @@ def test_corrector_makes_no_series_product_calls(monkeypatch, case):
     assert [len(c) for c in calls] == [0, 0, 0]
 
 
+def _loop_multiply_columns(f, cols, rows=None):
+    """Multiplication by f column by column with np.convolve: the reference
+    for the batched defects._multiply_columns."""
+    rows = cols.shape[0] if rows is None else rows
+    out = np.zeros((rows, cols.shape[1]), dtype=np.complex128)
+    for j in range(cols.shape[1]):
+        full = np.convolve(f, cols[:, j])[:rows]
+        out[: full.size, j] = full
+    return out
+
+
+def _loop_conj_toeplitz_columns(f, cols, rows=None):
+    """T_conj(f) column by column with np.correlate: the reference for the
+    batched defects._conj_toeplitz_columns (rows at most the column length)."""
+    rows = cols.shape[0] if rows is None else rows
+    out = np.zeros((rows, cols.shape[1]), dtype=np.complex128)
+    for j in range(cols.shape[1]):
+        out[:, j] = np.correlate(cols[:, j], f, "full")[f.size - 1 : f.size - 1 + rows]
+    return out
+
+
+def _random_columns(rng, rows, cols, support=None):
+    out = np.zeros((rows, cols), dtype=np.complex128)
+    k = rows if support is None else support
+    out[:k] = rng.standard_normal((k, cols)) + 1j * rng.standard_normal((k, cols))
+    return out
+
+
+@pytest.mark.parametrize(
+    "f_size, f_support, n, k, col_support",
+    [
+        (4, 4, 64, 3, None),  # f1 of apply: rows past the column length below
+        (9, 9, 1024, 2, 9),  # short by short inside a long window: exact zeros
+        (1024, 1024, 1024, 3, 9),  # theta by polynomial v_i: np.convolve
+        (512, 512, 512, 3, None),  # long by long: one batched FFT
+        (1024, 700, 1024, 1, 1000),  # supports cut short by underflowed tails
+        (256, 256, 256, 0, None),  # no columns
+    ],
+)
+def test_column_helpers_match_the_per_column_loops(f_size, f_support, n, k, col_support):
+    rng = np.random.default_rng([f_size, n, k])
+    f = _random_columns(rng, f_size, 1, f_support)[:, 0]
+    cols = _random_columns(rng, n, k, col_support)
+    deg = f_support - 1
+    for rows in (None, n + deg, n // 2):
+        cases = [(defects._multiply_columns, _loop_multiply_columns)]
+        if rows is None or rows <= n:
+            cases.append((defects._conj_toeplitz_columns, _loop_conj_toeplitz_columns))
+        for helper, loop in cases:
+            got, want = helper(f, cols, rows), loop(f, cols, rows)
+            assert got.shape == want.shape
+            # exact zeros stay exact
+            assert np.array_equal(got == 0, want == 0)
+            scale = np.linalg.norm(f) * np.linalg.norm(cols, axis=0)
+            assert np.all(np.linalg.norm(got - want, axis=0) <= 1e-14 * scale)
+    # apply's invertible pair: f1 x on n + deg f2 rows, then T_conj(f2) back to n
+    f2 = _random_columns(rng, 4, 1)[:, 0]
+    full = defects._multiply_columns(f, cols, rows=n + f2.size - 1)
+    got = defects._conj_toeplitz_columns(f2, full, rows=n)
+    want = _loop_conj_toeplitz_columns(f2, _loop_multiply_columns(f, cols, n + f2.size - 1), n)
+    assert np.array_equal(got == 0, want == 0)
+    assert np.linalg.norm(got - want) <= 1e-13 * max(np.linalg.norm(want), 1e-300)
+
+
 def _singular_pairing_instance(sym, corrector):
     """Seeded rank-one data with v scaled so that 1 + <C v, u> = 0, C the
     case's corrector.  For an inner symbol v stays outside theta H^2, so
@@ -583,7 +648,14 @@ def test_structured_kernel_matches_the_svd_kernel(case, doubled):
     reference = svd_kernel(inst)
     assert m is inst.kernel
     assert m.dim == reference.dim
-    assert m.complement.shape == (inst.column_cap, inst.column_cap - m.dim)
+    # Only the thin side is kept; the frame and the complement it implies
+    # together span the window.
+    cap = inst.column_cap
+    assert m.complement is None and m.window == cap
+    assert not m.frame[cap:].any()
+    whole = np.hstack((m.frame[:cap], window_complement(m)))
+    assert whole.shape == (cap, cap)
+    assert np.max(np.abs(whole.conj().T @ whole - np.eye(cap))) < 1e-12
     if m.dim:
         assert float(principal_angles(m, reference).max()) < ANGLE_TOL
     reference_defect = minimal_defect(reference, vanish_at_zero(reference))

@@ -9,20 +9,24 @@ windows have no zero rows), an invertible symbol (its 2N window has only
 515 nonzero rows) and a conjugate-inner finite kernel with defect 2.  A
 suite scenario whose kernel, moved to N = 64, reaches past the window
 fails its kernel and witness checks, and a strict xfail pins the named
-exit 2 it should get instead.  The tests read perfbench/ and write
-nothing there.
+exit 2 it should get instead.  A pin holds the whole suite's shapes at
+N = 128 to the thin side: a complete QR only for the zero symbol's kernel
+frame, and no np.convolve of two factors that the FFT should multiply.
+The tests read perfbench/ and write nothing there.
 """
 
 import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
-from conftest import BLAS_THREAD_VARS, PERFBENCH, load_perfbench_workloads
-from neartoep import cli, runner
+from conftest import BLAS_THREAD_VARS, PERFBENCH, linalg_calls, load_perfbench_workloads
+from neartoep import cli, runner, series
 from neartoep.defects import WITNESS_KERNEL_TOL
 from neartoep.errors import InputError
+from neartoep.operators import ZeroSymbol
 
 SCENARIO_IDS = {
     0: "000-zero-r1-d3-z0",
@@ -94,6 +98,39 @@ def test_window_that_truncates_a_kernel_direction_fails_its_checks_at_n64(
 def test_window_that_truncates_a_kernel_direction_is_rejected_at_n64(monkeypatch):
     with pytest.raises(InputError):
         runner.run_scenario(_run_suite_scenario_at_n64(monkeypatch), stabilize=False)
+
+
+def test_run_suite_takes_complete_qrs_only_for_zero_symbol_frames_and_no_long_convolution(
+    monkeypatch,
+):
+    workloads = load_perfbench_workloads(monkeypatch)
+    scenarios = [
+        workloads.scenario(0, i, workloads.run_suite_shape(i), 128, workloads.RUN_SUITE_CHECKS)
+        for i in range(3 * len(workloads.FAMILIES))
+    ]
+    qr_calls = linalg_calls(monkeypatch, "qr")
+    convolve_calls = []
+    convolve = np.convolve
+
+    def recorded(a, v, *args, **kwargs):
+        convolve_calls.append((np.size(a), np.size(v)))
+        return convolve(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", recorded)
+    report = runner.run_suite(scenarios, stabilize=True)
+    assert all(s.passed for s in report.scenarios)
+    complete = [
+        args[0].shape for args, kwargs in qr_calls
+        if kwargs.get("mode", args[1] if len(args) > 1 else "reduced") == "complete"
+    ]
+    # one per zero-symbol kernel frame at N, each from the rank-wide
+    # complement (rank 1..3); the 2N audit builds none
+    zero_ranks = [
+        s.perturbation.rank_bound for s in scenarios if isinstance(s.symbol, ZeroSymbol)
+    ]
+    assert complete == [(64, rank) for rank in zero_ranks]
+    assert convolve_calls
+    assert all(min(sizes) < series.FFT_MIN_SUPPORT for sizes in convolve_calls)
 
 
 def test_blas_threads_are_pinned_as_in_the_benchmark():

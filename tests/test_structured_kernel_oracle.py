@@ -13,13 +13,21 @@ They read perfbench/ and write nothing there.
 import numpy as np
 import pytest
 
-from conftest import load_perfbench_workloads, seeded_perturbation, svd_kernel
+from conftest import (
+    complete_qr_defect,
+    load_perfbench_workloads,
+    seeded_perturbation,
+    svd_kernel,
+)
 from neartoep.defects import Instance
 from neartoep.operators import ConjInnerSymbol, PerturbationSpec, ZeroSymbol
 
 # Projector gap allowed between the structured and the SVD kernel.
 KERNEL_GAP_TOL = 1e-10
 APPLY_TOL = 1e-13
+# Thin-side defect against the complete-QR reference.
+DEFECT_SVAL_TOL = 1e-13
+DEFECT_GAP_TOL = 1e-12
 
 
 def _defect_suite_instances(monkeypatch, seed, truncation):
@@ -83,3 +91,24 @@ def test_zero_symbol_kernel_is_exactly_u_perp_with_v_norms_a_million_apart():
     # eps * s0 / s1 = 1e-10; the reduction to B = V R_u^H is exact.
     cap = inst.column_cap
     assert np.abs(inst.u_matrix[:cap].conj().T @ m.frame[:cap]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["N", "2N"])
+@pytest.mark.parametrize("truncation", [64, 128, 256])
+@pytest.mark.parametrize("seed", range(3))
+def test_thin_side_defect_matches_the_complete_qr_reference_on_the_defect_suite(
+    monkeypatch, seed, truncation, doubled
+):
+    for inst in _defect_suite_instances(monkeypatch, seed, truncation):
+        if doubled:
+            inst = inst.doubled
+        report = inst.defect
+        frame, svals = complete_qr_defect(inst.kernel, inst.vanishing)
+        assert report.defect_dim == report.residual_frame.dim == frame.shape[1]
+        assert len(report.singular_values) == svals.size
+        if svals.size:
+            assert np.abs(np.array(report.singular_values) - svals).max() <= DEFECT_SVAL_TOL
+        # For orthonormal frames of one dim the projector gap is the sine of
+        # their largest principal angle, ||(I - B B^H) A||, with no N x N matrix.
+        got = report.residual_frame.frame
+        assert np.linalg.norm(got - frame @ (frame.conj().T @ got), 2) <= DEFECT_GAP_TOL

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import linalg_calls, seeded_perturbation
+from conftest import linalg_calls, seeded_perturbation, window_complement
 from neartoep.blaschke import BlaschkeProduct
 from neartoep.defects import Instance, model_space
 from neartoep.errors import ConditioningError, InputError
@@ -427,9 +427,16 @@ def test_kernel_complement_completes_the_column_window():
     )
     for inst in (_zero_symbol_instance(), conj_inner):
         m, cap = inst.kernel, inst.column_cap
+        assert m.window == cap and not m.frame[cap:].any()
         comp = m.complement
+        if isinstance(inst.symbol, ZeroSymbol):
+            # the cofinite kernel keeps its rank-wide complement
+            assert not comp.flags.writeable
+        else:
+            # a finite kernel keeps only its frame, the thin side
+            assert comp is None
+            comp = window_complement(m)
         assert m.dim > 0 and comp.shape == (cap, cap - m.dim)
-        assert not comp.flags.writeable
         assert np.max(np.abs(comp.conj().T @ comp - np.eye(cap - m.dim))) < 1e-12
         assert np.max(np.abs(comp.conj().T @ m.frame[:cap])) < 1e-12
 
