@@ -55,14 +55,12 @@ from .series import (
 )
 from .subspaces import (
     Subspace,
-    _fix_phases,
-    _right_svd,
     complement_within,
     contains,
     direct_sum,
+    null_space,
     principal_angles,
     project,
-    rank_cut,
     span,
 )
 
@@ -542,17 +540,6 @@ def _stack_clauses(frame: CgpFrame, cap: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _nullspace(matrix: np.ndarray, rank_tol: float) -> np.ndarray:
-    cols = matrix.shape[1]
-    if matrix.shape[0] == 0:
-        return np.eye(cols, dtype=np.complex128)
-    svals, vh = _right_svd(matrix)
-    if svals.size == 0 or svals[0] == 0.0:
-        return np.eye(cols, dtype=np.complex128)
-    basis = vh.conj().T[:, rank_cut(svals, rank_tol) :]
-    return _fix_phases(basis)
-
-
 def _tuple_space(
     frame: CgpFrame, cap: int, rank_tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -565,7 +552,7 @@ def _tuple_space(
     clauses = _stack_clauses(frame, cap)
     n = frame.truncation
     big = np.hstack([toeplitz_block(g, n, cap) for g in frame.slot_maps])
-    return clauses, _nullspace(clauses, rank_tol), big
+    return clauses, null_space(clauses, rank_tol)[0], big
 
 
 def _clause_violation(clauses: np.ndarray, solution: np.ndarray) -> float:

@@ -46,8 +46,10 @@ from .subspaces import (
     ZERO_OPERATOR_FLOOR,
     DefectReport,
     Subspace,
+    cofinite_defect,
     kernel_subspace,
     minimal_defect,
+    null_space,
     project,
     rank_cut,
     rank_threshold,
@@ -239,8 +241,29 @@ class Instance:
 
     @cached_property
     def defect(self) -> DefectReport:
-        """Minimal near-invariance defect of the kernel, on its column window."""
+        """Minimal near-invariance defect of the kernel, on its column window.
+
+        The zero symbol's cofinite kernel reads it from zero_complement
+        alone (cofinite_defect), with no kernel or vanishing frame; a
+        finite kernel from its frame (minimal_defect).
+        """
+        if isinstance(self.symbol, ZeroSymbol):
+            return cofinite_defect(self.zero_complement, self.truncation, self.rank_tol)
         return minimal_defect(self.kernel, self.vanishing)
+
+    @property
+    def kernel_dim(self) -> int:
+        """The kernel's dim; the zero symbol's is cap - rank, with no frame built."""
+        if isinstance(self.symbol, ZeroSymbol):
+            return self.column_cap - self.zero_complement.shape[1]
+        return self.kernel.dim
+
+    @property
+    def window_tail(self) -> float:
+        """structured_kernel's tail; 0 for the zero symbol, with no frame built."""
+        if isinstance(self.symbol, ZeroSymbol):
+            return 0.0
+        return self.structured_kernel.tail
 
     @cached_property
     def theta(self) -> AnalyticSeries:
@@ -318,11 +341,11 @@ class Instance:
           ker T_conj(theta), and (I + U^H C V) c = U^H K b.
         The solutions are orthonormalized over all N coefficients, cut to
         the column window [0, N // 2) and orthonormalized there by a thin
-        QR, so the kernel records its window but no complement, which is
-        the wide side; svals are the system's singular values, one
-        per unknown (exact zeros pad a wide system), cut at
-        rank_tol * max(1, s0).  Trigonometric-polynomial symbols take the
-        SVD of the operator's N x N // 2 window (kernel_subspace), tail 0.
+        QR, so the kernel records its window and keeps only its frame, the
+        thin side; svals are the system's singular values, one per unknown
+        (exact zeros pad a wide system), cut at rank_tol * max(1, s0).
+        Trigonometric-polynomial symbols take the SVD of the operator's
+        N x N // 2 window (kernel_subspace), tail 0.
         """
         sym, n, cap = self.symbol, self.truncation, self.column_cap
         if isinstance(sym, TrigPolySymbol):
@@ -336,7 +359,7 @@ class Instance:
             frame[:cap] = np.linalg.qr(comp, mode="complete")[0][:, rank:]
             kernel = Subspace(
                 frame, n, self.rank_tol, degenerate=svals[0] <= ZERO_OPERATOR_FLOOR,
-                svals=tuple(svals), window=cap, complement=comp,
+                svals=tuple(svals), window=cap,
             )
             return KernelSolution(kernel, 0.0, cut)
         cv = self.corrected_v
@@ -350,7 +373,9 @@ class Instance:
             k = self.k_theta.frame
             system = np.hstack((i_plus, -(self.u_matrix.conj().T @ k)))
             solutions = np.hstack((-cv, k))
-        null, svals, cut = _null_space(system, self.rank_tol)
+        # floor 1, as in minimal_defect: the systems are built from
+        # unit-scale data, and one that is exactly zero has s0 at round-off.
+        null, svals, cut = null_space(system, self.rank_tol, floor=1.0)
         q, _ = np.linalg.qr(solutions @ null)
         dim = q.shape[1]
         tail = float(np.linalg.norm(q[cap:], 2)) if dim else 0.0
@@ -426,20 +451,6 @@ def theorem_defect_bound(inst: Instance) -> int:
     if isinstance(inst.symbol, ConjInnerSymbol) and n:
         return n + len(inst.lambda_set)
     return n
-
-
-def _null_space(mat: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Orthonormal null-space frame of a small system, its singular values and the cut.
-
-    The cut is rank_cut's with floor 1, as in minimal_defect: the systems
-    are built from unit-scale data, and a system that is exactly zero has
-    s0 at round-off.  The values are padded by exact zeros to one per
-    column, as kernel_subspace's are.
-    """
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    floor = 1.0
-    null = vh[rank_cut(s, rank_tol, floor) :].conj().T
-    return null, np.pad(s, (0, mat.shape[1] - s.size)), rank_threshold(s, rank_tol, floor)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -25,11 +25,10 @@ from .operators import (
     PerturbationSpec,
     Symbol,
     TrigPolySymbol,
-    ZeroSymbol,
     symbol_from_json,
 )
 from .series import COEFF_TRIM_TOL
-from .subspaces import DEFAULT_RANK_TOL, complement_defect_dim
+from .subspaces import DEFAULT_RANK_TOL
 
 VALID_CHECKS = ("kernel", "defect", "witness", "cgp")
 DEFAULT_TRUNCATION = 128
@@ -187,22 +186,12 @@ def scenarios_from_json(data) -> list[Scenario]:
 
 
 def kernel_profile(inst: Instance) -> tuple[int, int, int]:
-    """(kernel dim, column cap, defect dim) at the instance's truncation."""
-    return inst.kernel.dim, inst.column_cap, inst.defect.defect_dim
+    """(kernel dim, column cap, defect dim) at the instance's truncation.
 
-
-def structured_profile(inst: Instance) -> tuple[int, int, int, float]:
-    """kernel_profile and the kernel's window tail.
-
-    The zero symbol's kernel is cofinite, so only its r-wide window
-    complement is formed: the kernel has dim cap - rank and tail 0, and the
-    defect dim comes from the complement alone, with no kernel or
-    vanishing frame.
+    The zero symbol's come from zero_complement alone, with no kernel or
+    vanishing frame (Instance.kernel_dim, Instance.defect).
     """
-    if isinstance(inst.symbol, ZeroSymbol):
-        comp, cap = inst.zero_complement, inst.column_cap
-        return cap - comp.shape[1], cap, complement_defect_dim(comp, inst.rank_tol), 0.0
-    return (*kernel_profile(inst), inst.structured_kernel.tail)
+    return inst.kernel_dim, inst.column_cap, inst.defect.defect_dim
 
 
 def stability_summary(inst: Instance) -> dict:
@@ -210,13 +199,13 @@ def stability_summary(inst: Instance) -> dict:
 
     Finite kernels must repeat their dimension; annihilator-style symbols
     have cofinite kernels, for which the codimension inside the scan
-    window is the stable quantity instead.  The working order reads the
-    kernel the checks measure; the double reads structured_profile
-    (for the zero symbol no 2N operator, kernel frame or vanishing frame),
-    and the tail beyond the window must also stay below rank_tol.
+    window is the stable quantity instead.  Both orders read
+    kernel_profile, and the kernel's tail beyond the doubled window must
+    also stay below rank_tol.
     """
     d1, c1, f1 = kernel_profile(inst)
-    d2, c2, f2, tail = structured_profile(inst.doubled)
+    d2, c2, f2 = kernel_profile(inst.doubled)
+    tail = inst.doubled.window_tail
     stable = (d1 == d2 or c1 - d1 == c2 - d2) and f1 == f2 and tail <= inst.rank_tol
     return {
         "kernel_dim": d1,

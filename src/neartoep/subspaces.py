@@ -78,6 +78,25 @@ def _right_svd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.pad(s, (0, cols - s.size)), vh
 
 
+def null_space(
+    mat: np.ndarray, tol: float, floor: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Orthonormal right null basis of mat, its singular values and the cut.
+
+    The values are _right_svd's, one per column, and the rank is
+    rank_cut(s, tol, floor); the basis is the right singular vectors at or
+    below the cut, in vh's order, with pinned phases (Golub-Van Loan,
+    Matrix Computations, 4th ed., sec. 2.4).  A matrix with no columns has
+    an empty basis, and one with no rows or with s0 at most
+    ZERO_OPERATOR_FLOOR has the identity.
+    """
+    s, vh = _right_svd(mat)
+    cut = rank_threshold(s, tol, floor)
+    if s.size == 0 or s[0] <= ZERO_OPERATOR_FLOOR:
+        return np.eye(mat.shape[1], dtype=np.complex128), s, cut
+    return _fix_phases(vh[rank_cut(s, tol, floor) :].conj().T), s, cut
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Subspace given by an orthonormal column frame."""
@@ -90,10 +109,6 @@ class Subspace:
     # The column cap of a kernel cut from coefficients [0, cap): its frame
     # vanishes from row cap on.  None for subspaces built any other way.
     window: int | None = field(default=None, compare=False)
-    # Orthonormal frame of the window's part of the orthogonal complement,
-    # cap x (cap - dim), kept where it is the thin side or comes for free:
-    # a cofinite kernel's and kernel_subspace's.  None otherwise.
-    complement: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(self.frame, dtype=np.complex128)
@@ -111,12 +126,6 @@ class Subspace:
         object.__setattr__(self, "svals", tuple(float(s) for s in self.svals))
         if self.window is not None and not 0 < self.window <= self.truncation:
             raise InputError(f"window {self.window} outside 1..{self.truncation}")
-        if self.complement is not None:
-            comp = np.asarray(self.complement, dtype=np.complex128)
-            if comp.ndim != 2 or comp.shape[0] != self.window:
-                raise InputError(f"complement shape {comp.shape} disagrees with the window")
-            comp.setflags(write=False)
-            object.__setattr__(self, "complement", comp)
 
     @property
     def dim(self) -> int:
@@ -181,29 +190,18 @@ def kernel_subspace(
     column_cap restricts the domain to coefficients below that degree
     (the headroom interior); the returned frame lives in the full space.
     An identically zero operator yields the whole (capped) space with the
-    degenerate flag set.  The range-side right singular vectors of the same
-    SVD are kept as the subspace's complement inside the window.
+    degenerate flag set.
     """
     n = op.truncation
     cap = n if column_cap is None else int(column_cap)
     if not 0 < cap <= n:
         raise InputError(f"column cap {cap} outside 1..{n}")
-    s, vh = _right_svd(op.entries[:, :cap])
-    if s[0] <= ZERO_OPERATOR_FLOOR:
-        frame = np.zeros((n, cap), dtype=np.complex128)
-        frame[:cap, :cap] = np.eye(cap)
-        return Subspace(
-            frame, n, rank_tol, degenerate=True, svals=tuple(s), window=cap,
-            complement=np.zeros((cap, 0), dtype=np.complex128),
-        )
-    # s is sorted descending, so the null rows of vh are a suffix.
-    rank = rank_cut(s, rank_tol)
-    frame = np.zeros((n, cap - rank), dtype=np.complex128)
-    frame[:cap, :] = vh[rank:][::-1].conj().T
-    return Subspace(
-        _fix_phases(frame), n, rank_tol, svals=tuple(s), window=cap,
-        complement=vh[:rank].conj().T,
-    )
+    basis, s, _ = null_space(op.entries[:, :cap], rank_tol)
+    degenerate = bool(s[0] <= ZERO_OPERATOR_FLOOR)
+    frame = np.zeros((n, basis.shape[1]), dtype=np.complex128)
+    # The frame lists the null directions from the smallest singular value.
+    frame[:cap] = basis if degenerate else basis[:, ::-1]
+    return Subspace(frame, n, rank_tol, degenerate=degenerate, svals=tuple(s), window=cap)
 
 
 def vanish_at_zero(m: Subspace) -> Subspace:
@@ -330,9 +328,7 @@ def complement_within(ambient: Subspace, removed: Subspace) -> Subspace:
         inside = np.linalg.norm(coords[:, j])
         if abs(inside - 1.0) > 1e-8:
             raise InputError("removed subspace does not lie inside the ambient one")
-    _, s, vh = np.linalg.svd(coords.conj().T, full_matrices=True)
-    rank = rank_cut(s, np.finfo(float).eps * max(coords.shape))
-    keep = vh[rank:].conj().T
+    keep, _, _ = null_space(coords.conj().T, np.finfo(float).eps * max(coords.shape))
     return Subspace(
         _fix_phases(ambient.frame @ keep), ambient.truncation, ambient.rank_tol
     )
@@ -375,56 +371,40 @@ def minimal_defect(m: Subspace, w: Subspace) -> DefectReport:
     m must be a kernel cut from a column window [0, cap) (m.window); S*w
     stays in the window, so only its cap rows are read.  With Y = S*w
     there, the part outside m is Y - M (M^H Y), cap x dim w, for M m's
-    frame.  Where m keeps a window complement C (a cofinite kernel's, or
-    kernel_subspace's), it is C (C^H Y) instead, whose small
-    (cap - dim m) x dim w factor has the same singular values.  Either
-    way there are min(cap - dim m, dim w) of them: the part outside m
-    has no more nonzero ones, and the rest of the thin side's are
-    round-off.  The cut is rank_cut's with floor 1 (frames are
-    orthonormal, so backshifted columns have norm at most one); an empty
-    or fully invariant input reports defect 0.
+    frame: the thin side of a finite kernel.  It has no more than
+    min(cap - dim m, dim w) nonzero singular values, and only those are
+    kept; the rest are round-off.  The cut is rank_cut's with floor 1
+    (frames are orthonormal, so backshifted columns have norm at most
+    one); an empty or fully invariant input reports defect 0.
     """
     cap = m.window
     if cap is None:
         raise InputError("minimal_defect needs a kernel subspace cut from a column window")
-    tol = m.rank_tol
     # On the window S*w is w's rows 1..cap-1 followed by a zero row: w
     # vanishes from row cap on, and at cap = N the shift drops the top row.
-    comp = m.complement
-    if comp is None:
-        shifted = np.zeros((cap, w.dim), dtype=np.complex128)
-        shifted[:-1] = w.frame[1:cap]
-        inside = m.frame[:cap]
-        outside = shifted - inside @ (inside.conj().T @ shifted)
-        u, s, _ = np.linalg.svd(outside, full_matrices=False)
-        s = s[: min(cap - m.dim, w.dim)]
-    else:
-        u, s, _ = np.linalg.svd(comp[:-1].conj().T @ w.frame[1:cap], full_matrices=False)
-    rank = rank_cut(s, tol, floor=1.0)
-    frame = np.zeros((m.truncation, rank), dtype=np.complex128)
-    frame[:cap] = u[:, :rank] if comp is None else comp @ u[:, :rank]
-    return DefectReport(
-        frame.shape[1],
-        Subspace(_fix_phases(frame), m.truncation, tol),
-        tuple(float(x) for x in s),
-    )
+    shifted = np.zeros((cap, w.dim), dtype=np.complex128)
+    shifted[:-1] = w.frame[1:cap]
+    inside = m.frame[:cap]
+    outside = shifted - inside @ (inside.conj().T @ shifted)
+    u, s, _ = np.linalg.svd(outside, full_matrices=False)
+    s = s[: min(cap - m.dim, w.dim)]
+    return _defect_report(u, s, m.truncation, m.rank_tol)
 
 
-def complement_defect_dim(comp: np.ndarray, rank_tol: float) -> int:
-    """minimal_defect's defect dim for the window kernel whose complement frame is comp.
+def cofinite_defect(comp: np.ndarray, truncation: int, rank_tol: float) -> DefectReport:
+    """minimal_defect of the window kernel whose complement frame is comp, from comp alone.
 
-    comp is an orthonormal cap x rank frame C, and the kernel is the part
-    of the window [0, cap) orthogonal to it, with projector P = I - C C^H.
-    Its members vanishing at 0 have projector P - q q^H for q the unit
-    vector of P e0, or P itself when |P e0| <= rank_tol, vanish_at_zero's
-    rule.  C^H S* (P - q q^H) is minimal_defect's matrix C^H S* W times W^H,
-    so it has the same nonzero singular values and the same cut.  Its
-    adjoint (P - q q^H) S C is formed from C alone, cap x rank, in
-    O(cap rank^2), with no kernel frame.
+    comp is an orthonormal cap x rank frame C, and the kernel M is the
+    part of the window [0, cap) orthogonal to it, with projector
+    P = I - C C^H.  Its members vanishing at 0 have projector P - q q^H
+    for q the unit vector of P e0, or P itself when |P e0| <= rank_tol,
+    vanish_at_zero's rule.  For W a frame of them, (P - q q^H) S C on the
+    window is W (C^H S*W)^H, and the part of S*W outside M is C (C^H S*W).
+    So this cap x rank matrix has the same nonzero singular values, and C
+    times its right singular vectors is minimal_defect's residual frame.
+    It takes O(cap rank^2) work, with no kernel or vanishing frame.
     """
     cap, rank = comp.shape
-    if rank == 0:
-        return 0
     # S C on the window: each column moves up one degree, dropping degree cap - 1.
     shifted = np.zeros((cap, rank), dtype=np.complex128)
     shifted[1:] = comp[:-1]
@@ -432,7 +412,26 @@ def complement_defect_dim(comp: np.ndarray, rank_tol: float) -> int:
     q = -(comp @ comp[0].conj())
     q[0] += 1.0
     norm = np.linalg.norm(q)
+    vanishing_dim = cap - rank
     if norm > rank_tol:
         q /= norm
         mat -= np.outer(q, q.conj() @ shifted)
-    return rank_cut(np.linalg.svd(mat, compute_uv=False), rank_tol, floor=1.0)
+        vanishing_dim -= 1
+    s, vh = _right_svd(mat)
+    return _defect_report(
+        comp @ vh.conj().T, s[: min(rank, vanishing_dim)], truncation, rank_tol
+    )
+
+
+def _defect_report(
+    directions: np.ndarray, s: np.ndarray, truncation: int, rank_tol: float
+) -> DefectReport:
+    """The defect cut from s, its residual frame the leading window directions."""
+    rank = rank_cut(s, rank_tol, floor=1.0)
+    frame = np.zeros((truncation, rank), dtype=np.complex128)
+    frame[: directions.shape[0]] = directions[:, :rank]
+    return DefectReport(
+        rank,
+        Subspace(_fix_phases(frame), truncation, rank_tol),
+        tuple(float(x) for x in s),
+    )

@@ -387,16 +387,16 @@ def test_forward_check_does_not_depend_on_the_nullspace_basis(monkeypatch):
     # random mixes reads 0.69 here and 0.70 to 0.77 under these rotations
     inst = Instance(*_orthogonal_split_instance(128), 128)
     base = cgp.check_corollary(inst)
-    nullspace = cgp._nullspace
+    nullspace = cgp.null_space
     rng = np.random.default_rng(11)
 
     def rotated(matrix, rank_tol):
-        basis = nullspace(matrix, rank_tol)
+        basis, svals, cut = nullspace(matrix, rank_tol)
         k = basis.shape[1]
         q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
-        return basis @ q
+        return basis @ q, svals, cut
 
-    monkeypatch.setattr(cgp, "_nullspace", rotated)
+    monkeypatch.setattr(cgp, "null_space", rotated)
     for _ in range(3):
         rep = cgp.check_corollary(inst)
         for name in ("forward_max_residual", "backshift_max_violation"):

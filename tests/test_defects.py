@@ -42,7 +42,7 @@ from neartoep.operators import (
     symbol_fourier,
     toeplitz_matrix,
 )
-from neartoep.runner import Scenario
+from neartoep.runner import Scenario, run_scenario
 from neartoep.series import (
     AnalyticSeries,
     LaurentSeries,
@@ -651,7 +651,7 @@ def test_structured_kernel_matches_the_svd_kernel(case, doubled):
     # Only the thin side is kept; the frame and the complement it implies
     # together span the window.
     cap = inst.column_cap
-    assert m.complement is None and m.window == cap
+    assert m.window == cap
     assert not m.frame[cap:].any()
     whole = np.hstack((m.frame[:cap], window_complement(m)))
     assert whole.shape == (cap, cap)
@@ -690,6 +690,44 @@ def test_complement_defect_matches_the_projection_formula(case, doubled):
     assert float(gap.max()) <= 1e-14
     reference = subspaces.Subspace(frame, inst.truncation)
     assert float(principal_angles(report.residual_frame, reference).max()) < ANGLE_TOL
+
+
+def _empty_perturbation_symbol(family):
+    if family == "zero":
+        return ZeroSymbol()
+    if family == "inner":
+        return InnerSymbol(BlaschkeProduct.from_points([0.5, -0.3j], z_power=1))
+    if family == "invertible":
+        return InvertibleProductSymbol(
+            AnalyticSeries.from_coeffs([1.0, 0.3], N), AnalyticSeries.from_coeffs([1.0, -0.2j], N)
+        )
+    # Zeros of modulus at most 0.5, so the window N/2 holds K_theta to
+    # within the witness tolerance from N = 64 on; at N = 32 its tail
+    # is above it (ROADMAP item 1(b)).
+    return ConjInnerSymbol(BlaschkeProduct.from_points([0.5, -0.4j], z_power=1))
+
+
+@pytest.mark.parametrize("truncation", [64, 128])
+@pytest.mark.parametrize("family", ["zero", "inner", "invertible", "conj_inner"])
+def test_empty_perturbation_verifies_on_every_defect_family(family, truncation):
+    # A 0-column small system (inner, invertible) or a 0-row one
+    # (conjugate inner), and a zero symbol whose kernel is the whole window.
+    sym = _empty_perturbation_symbol(family)
+    scenario = Scenario(
+        sym, PerturbationSpec(()), truncation=truncation,
+        checks=("kernel", "defect", "witness"),
+    )
+    report = run_scenario(scenario, stabilize=True)
+    details = {o.check: o.details for o in report.outcomes}
+    cap = truncation // 2
+    expected = {"zero": cap, "inner": 0, "invertible": 0, "conj_inner": 3}[family]
+    assert report.passed
+    assert details["kernel"]["kernel_dim"] == expected
+    assert details["defect"]["defect_dim"] == details["defect"]["bound_from_theorem"] == 0
+    assert details["witness"]["entries"] == max(expected - 1, 0)
+    stability = report.stability
+    assert stability["kernel_dim_doubled"] == (2 * cap if family == "zero" else expected)
+    assert stability["defect_dim"] == stability["defect_dim_doubled"] == 0
 
 
 def test_trivial_kernel_gives_an_empty_witness_report():

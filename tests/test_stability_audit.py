@@ -1,11 +1,12 @@
 """The zero symbol's 2N stability audit, read from its r-wide window complement.
 
 For the zero symbol R = V U^H the 2N audit forms only the cap x rank
-complement of the doubled window (Instance.zero_complement) and the defect
-dim it implies (subspaces.complement_defect_dim): no 2N operator, kernel
-frame or vanishing frame.  These tests hold that audit to the SVD
-reference at 2N, the window SVD of the doubled operator with its minimal
-defect, which builds all three, on the zero-symbol shapes of the
+complement of the doubled window (Instance.zero_complement), the kernel dim
+cap - rank (Instance.kernel_dim) and the defect it implies
+(subspaces.cofinite_defect): no 2N operator, kernel frame or vanishing
+frame.  These tests hold that audit to the SVD reference at 2N, the
+window SVD of the doubled operator with its minimal defect, which builds
+all three, on the zero-symbol shapes of the
 defect-suite benchmark and on three edge cases.  The tests read
 perfbench/ and write nothing there.
 """
@@ -13,10 +14,15 @@ perfbench/ and write nothing there.
 import numpy as np
 import pytest
 
-from conftest import load_perfbench_workloads, seeded_perturbation, svd_kernel
+from conftest import (
+    load_perfbench_workloads,
+    seeded_perturbation,
+    svd_kernel,
+    window_complement,
+)
 from neartoep.defects import Instance
 from neartoep.operators import PerturbationSpec, ZeroSymbol
-from neartoep.runner import kernel_profile, stability_summary, structured_profile
+from neartoep.runner import kernel_profile, stability_summary
 from neartoep.series import AnalyticSeries
 from neartoep.subspaces import minimal_defect, vanish_at_zero
 
@@ -26,18 +32,20 @@ N = 64
 def _assert_audit_matches_the_svd_reference(inst, angle_tol=1e-12):
     summary = stability_summary(inst)
     doubled = inst.doubled
+    # The audit built no kernel or vanishing frame at 2N.
+    assert not {"structured_kernel", "vanishing"} & set(vars(doubled))
     comp = doubled.zero_complement
     reference = svd_kernel(doubled)
     dim, cap = reference.dim, doubled.column_cap
     defect = minimal_defect(reference, vanish_at_zero(reference)).defect_dim
-    assert structured_profile(doubled) == (dim, cap, defect, 0.0)
+    assert (doubled.kernel_dim, doubled.window_tail) == (dim, 0.0)
     assert kernel_profile(doubled) == (dim, cap, defect)
     assert summary["kernel_dim_doubled"] == dim
     assert summary["kernel_codim_doubled"] == cap - dim
     assert summary["defect_dim_doubled"] == defect
     assert summary["stable_at_double"]
     # The same range side as the 2N window's SVD, not just the same rank.
-    reference = reference.complement
+    reference = window_complement(reference)
     assert comp.shape == reference.shape == (cap, cap - dim)
     gap = comp @ comp.conj().T - reference @ reference.conj().T
     assert np.linalg.norm(gap) <= angle_tol
@@ -108,6 +116,6 @@ def test_zero_complement_matches_the_svd_complement_when_the_window_loses_rank(c
         u2 = a * 0.5j + c * (1 / np.sqrt(2)) + beyond * -0.5j
         terms = ((u1, v1 * (1e-12 * v2.norm() / v1.norm())), (u2, v2))
     inst = Instance(ZeroSymbol(), PerturbationSpec(terms), N)
-    comp, reference = inst.zero_complement, svd_kernel(inst).complement
+    comp, reference = inst.zero_complement, window_complement(svd_kernel(inst))
     assert comp.shape == reference.shape == (N // 2, 1)
     assert np.linalg.norm(comp @ comp.conj().T - reference @ reference.conj().T) <= 1e-12

@@ -18,9 +18,11 @@ from conftest import (
     load_perfbench_workloads,
     seeded_perturbation,
     svd_kernel,
+    window_complement,
 )
 from neartoep.defects import Instance
 from neartoep.operators import ConjInnerSymbol, PerturbationSpec, ZeroSymbol
+from neartoep.subspaces import cofinite_defect
 
 # Projector gap allowed between the structured and the SVD kernel.
 KERNEL_GAP_TOL = 1e-10
@@ -71,7 +73,8 @@ def test_kernel_and_apply_match_the_dense_operator_on_the_defect_suite(
         assert m.dim == reference.dim
         if isinstance(inst.symbol, ZeroSymbol):
             # The cofinite kernel is compared on its thin side.
-            assert _projector_gap(m.complement, reference.complement) <= KERNEL_GAP_TOL
+            gap = _projector_gap(window_complement(m), window_complement(reference))
+            assert gap <= KERNEL_GAP_TOL
         elif m.dim:
             assert _projector_gap(m.frame, reference.frame) <= KERNEL_GAP_TOL
     # Only conjugate-inner kernels reach past the window, and none at N = 256.
@@ -112,3 +115,27 @@ def test_thin_side_defect_matches_the_complete_qr_reference_on_the_defect_suite(
         # their largest principal angle, ||(I - B B^H) A||, with no N x N matrix.
         got = report.residual_frame.frame
         assert np.linalg.norm(got - frame @ (frame.conj().T @ got), 2) <= DEFECT_GAP_TOL
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["N", "2N"])
+@pytest.mark.parametrize("truncation", [64, 128, 256])
+@pytest.mark.parametrize("seed", range(3))
+def test_cofinite_defect_matches_the_complete_qr_reference_on_the_zero_symbol(
+    monkeypatch, seed, truncation, doubled
+):
+    checked = 0
+    for inst in _defect_suite_instances(monkeypatch, seed, truncation):
+        if not isinstance(inst.symbol, ZeroSymbol):
+            continue
+        if doubled:
+            inst = inst.doubled
+        report = cofinite_defect(inst.zero_complement, inst.truncation, inst.rank_tol)
+        assert inst.defect.singular_values == report.singular_values
+        frame, svals = complete_qr_defect(inst.kernel, inst.vanishing)
+        assert report.defect_dim == report.residual_frame.dim == frame.shape[1] > 0
+        assert len(report.singular_values) == svals.size
+        assert np.abs(np.array(report.singular_values) - svals).max() <= DEFECT_SVAL_TOL
+        got = report.residual_frame.frame
+        assert np.linalg.norm(got - frame @ (frame.conj().T @ got), 2) <= DEFECT_GAP_TOL
+        checked += 1
+    assert checked

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import linalg_calls, seeded_perturbation, window_complement
 from neartoep.blaschke import BlaschkeProduct
@@ -20,6 +22,7 @@ from neartoep.subspaces import (
     direct_sum,
     kernel_subspace,
     minimal_defect,
+    null_space,
     principal_angles,
     project,
     residuals_outside_sum,
@@ -132,6 +135,72 @@ def test_kernel_subspace_of_a_tall_block_matches_scipy_null_space():
     assert float(angles.max()) < ORACLE_ANGLE_TOL
 
 
+def _planted(rng, rows, cols, rank, scale=1.0):
+    left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+    right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+    return scale * (left @ right)
+
+
+def _null_space_cases():
+    rng = np.random.default_rng(31)
+    tall = _planted(rng, 40, 12, 7)  # at least two rows per column: the R-factor path
+    wide = _planted(rng, 5, 12, 3)
+    zero_rows = _planted(rng, 10, 6, 2)
+    zero_rows[[1, 4, 5, 8]] = 0.0
+    return {
+        "tall": tall,
+        "wide": wide,
+        "zero-rows": zero_rows,
+        # s0 = O(1e-12): floor 1 cuts every value, floor 0 none
+        "tiny": _planted(rng, 8, 5, 5, scale=1e-12),
+        "all-zero": np.zeros((6, 4), dtype=np.complex128),
+        "no-rows": np.zeros((0, 5), dtype=np.complex128),
+        "no-columns": np.zeros((5, 0), dtype=np.complex128),
+    }
+
+
+@pytest.mark.parametrize("floor", [0.0, 1.0])
+@pytest.mark.parametrize("case", sorted(_null_space_cases()))
+def test_null_space_matches_scipy_null_space(case, floor):
+    mat = _null_space_cases()[case]
+    tol = 1e-9
+    basis, svals, cut = null_space(mat, tol, floor)
+    rows, cols = mat.shape
+    reference = np.zeros(cols)
+    reference[: min(rows, cols)] = scipy.linalg.svdvals(mat) if mat.size else 0.0
+    assert svals.shape == (cols,) and np.allclose(svals, reference, rtol=0, atol=1e-13)
+    s0 = svals[0] if cols else 0.0
+    assert cut == tol * max(floor, s0)
+    # scipy keeps the values above rcond * s0, rank_cut those above cut
+    oracle = scipy.linalg.null_space(mat, rcond=cut / s0 if s0 else None)
+    assert basis.shape == oracle.shape == (cols, oracle.shape[1])
+    gap = basis @ basis.conj().T - oracle @ oracle.conj().T
+    assert np.abs(gap).max(initial=0.0) <= 1e-12
+    assert np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max(initial=0.0) <= 1e-13
+    if case in ("all-zero", "no-rows"):
+        assert np.array_equal(basis, np.eye(cols))
+    if cols:
+        pivots = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+        # pinned phases: every column's largest entry is real positive
+        assert np.all(np.abs(pivots.imag) <= 1e-15) and np.all(pivots.real > 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 24),
+    cols=st.integers(1, 12),
+    nullity=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_null_space_finds_a_planted_nullity(rows, cols, nullity, seed):
+    rank = min(max(cols - nullity, 0), rows)
+    mat = _planted(np.random.default_rng(seed), rows, cols, rank)
+    basis, svals, _ = null_space(mat, 1e-9)
+    assert basis.shape == (cols, cols - rank) and svals.shape == (cols,)
+    assert np.linalg.norm(mat @ basis) <= 1e-10 * max(1.0, svals[0])
+    assert np.abs(basis.conj().T @ basis - np.eye(cols - rank)).max(initial=0.0) <= 1e-12
+
+
 def test_kernel_of_a_two_to_one_gaussian_integer_block_matches_row_reduction():
     rng = np.random.default_rng(77)
     n, cap = 16, 8
@@ -168,7 +237,7 @@ def test_zero_rows_of_a_kernel_window_never_reach_lapack(monkeypatch):
     m = kernel_subspace(op, 1e-9, column_cap=n // 2)
     # R = sum v_i <., u_i> with deg v_i <= 4: only rows 0..4 are nonzero
     assert [args[0].shape for args, _ in calls] == [(5, n // 2)]
-    assert m.dim == n // 2 - 2 and m.complement.shape == (n // 2, 2)
+    assert m.dim == n // 2 - 2 and window_complement(m).shape == (n // 2, 2)
     # one value per window column: the dropped rows' values are exact zeros
     assert len(m.svals) == n // 2 and m.svals[5:] == (0.0,) * (n // 2 - 5)
 
@@ -212,7 +281,7 @@ def test_kernel_subspace_zero_operator_is_degenerate():
     op = OperatorMatrix(np.zeros((6, 6), dtype=np.complex128), 6)
     m = kernel_subspace(op, 1e-9, column_cap=3)
     assert m.degenerate and m.dim == 3
-    assert m.complement.shape == (3, 0)
+    assert window_complement(m).shape == (3, 0)
     # frame still lives in the full space
     assert m.frame.shape == (6, 3)
 
@@ -411,7 +480,7 @@ def test_minimal_defect_empty_and_constant_spaces():
 def test_minimal_defect_rejects_a_subspace_without_a_window_complement():
     n = 16
     gap = span([AnalyticSeries.monomial(0, n), AnalyticSeries.monomial(2, n)], n)
-    assert gap.complement is None
+    assert gap.window is None
     with pytest.raises(InputError):
         minimal_defect(gap, vanish_at_zero(gap))
 
@@ -428,13 +497,12 @@ def test_kernel_complement_completes_the_column_window():
     for inst in (_zero_symbol_instance(), conj_inner):
         m, cap = inst.kernel, inst.column_cap
         assert m.window == cap and not m.frame[cap:].any()
-        comp = m.complement
         if isinstance(inst.symbol, ZeroSymbol):
-            # the cofinite kernel keeps its rank-wide complement
+            # the cofinite kernel's rank-wide complement
+            comp = inst.zero_complement
             assert not comp.flags.writeable
         else:
             # a finite kernel keeps only its frame, the thin side
-            assert comp is None
             comp = window_complement(m)
         assert m.dim > 0 and comp.shape == (cap, cap - m.dim)
         assert np.max(np.abs(comp.conj().T @ comp - np.eye(cap - m.dim))) < 1e-12
@@ -443,11 +511,12 @@ def test_kernel_complement_completes_the_column_window():
 
 def test_defect_svd_sees_only_the_complement_coordinates(monkeypatch):
     inst = _zero_symbol_instance()
-    m, w = inst.kernel, inst.vanishing
+    rank = inst.zero_complement.shape[1]
     calls = linalg_calls(monkeypatch, "svd")
     assert inst.defect.defect_dim == 2
-    # one (cap - dim M) x dim W matrix, here 2 x 29, never an N-row block
-    assert [args[0].shape for args, _ in calls] == [(inst.column_cap - m.dim, w.dim)]
+    # one rank x rank matrix, the R factor of the cap x rank adjoint, here
+    # 2 x 2, never an N-row block
+    assert [args[0].shape for args, _ in calls] == [(rank, rank)] == [(2, 2)]
 
 
 def test_residuals_outside_sum_vanish_on_the_sum_and_measure_what_sticks_out():
