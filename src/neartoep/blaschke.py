@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _as_int
 from .series import AnalyticSeries, multiply_analytic, powers
 
 UNIMODULAR_TOL = 1e-10
@@ -64,13 +64,13 @@ class BlaschkeProduct:
     def from_json_dict(cls, data: dict) -> "BlaschkeProduct":
         try:
             zeros = tuple(
-                (complex(z["point"][0], z["point"][1]), int(z["multiplicity"]))
+                (complex(z["point"][0], z["point"][1]), _as_int(z, "multiplicity"))
                 for z in data.get("zeros", [])
             )
-            z_power = int(data.get("z_power", 0))
+            z_power = _as_int(data, "z_power", 0)
             c = data.get("const", [1.0, 0.0])
             const = complex(c[0], c[1])
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
             raise InputError(f"malformed Blaschke product: {exc}") from exc
         return cls(zeros, z_power, const)
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, blaschke_expand
+from .blaschke import BlaschkeProduct
 from .errors import HypothesisViolationError, InputError
 from .operators import (
     ConjInnerSymbol,
@@ -30,15 +30,19 @@ from .operators import (
     ZeroSymbol,
     perturbed_matrix,
     symbol_fourier,
+    toeplitz_columns,
     toeplitz_matrix,
 )
 from .series import (
     AnalyticSeries,
+    LaurentSeries,
     cauchy_product,
     conj_on_circle,
     embed,
+    laurent_conj,
     multiply,
     powers,
+    riesz_project,
     taylor_invert,
 )
 from .subspaces import (
@@ -159,16 +163,18 @@ class Instance:
         return self.truncation // 2
 
     @cached_property
-    def operator(self) -> OperatorMatrix:
-        """The dense N x N matrix of R.
+    def symbol_series(self) -> LaurentSeries:
+        """g's Fourier coefficients -N..N: every T_g the instance applies reads them."""
+        return symbol_fourier(self.symbol, self.truncation)
 
-        Only trigonometric-polynomial symbols read it (kernel and apply);
-        the four defect families work from the symbol's structure.
+    @cached_property
+    def operator(self) -> OperatorMatrix:
+        """The dense N x N matrix of R, from symbol_series.
+
+        Only trigonometric-polynomial symbols read it (their kernel); the
+        four defect families work from the symbol's structure.
         """
-        return perturbed_matrix(
-            toeplitz_matrix(symbol_fourier(self.symbol, self.truncation)),
-            self.perturbation,
-        )
+        return perturbed_matrix(toeplitz_matrix(self.symbol_series), self.perturbation)
 
     @cached_property
     def u_matrix(self) -> np.ndarray:
@@ -186,29 +192,14 @@ class Instance:
         return self.structured_kernel.space
 
     def apply(self, cols: np.ndarray) -> np.ndarray:
-        """R X = T_g X + V (U^H X) for an N x k block X, column by column.
+        """R X = T_g X + V (U^H X) for an N x k block X.
 
-        T_g X is theta x for an inner symbol, T_conj(theta) x for a
-        conjugate-inner one, and T_conj(f2) applied to the full product
-        f1 x for g = f1 conj(f2): T_g = T_conj(f2) T_f1 reads f1 x up to
-        degree N - 1 + deg f2, so cutting it to N first would lose terms.
-        The zero symbol has no T_g term.  Only trigonometric-polynomial
-        symbols take the dense product.
+        T_g X is toeplitz_columns on symbol_series for every symbol; a
+        symbol with no nonzero coefficient (g = 0) skips it.
         """
-        sym = self.symbol
-        if isinstance(sym, TrigPolySymbol):
-            return self.operator.entries @ cols
         out = self.v_matrix @ (self.u_matrix.conj().T @ cols)
-        if isinstance(sym, InnerSymbol):
-            out += _multiply_columns(self.theta.coeffs, cols)
-        elif isinstance(sym, ConjInnerSymbol):
-            out += _conj_toeplitz_columns(self.theta.coeffs, cols)
-        elif isinstance(sym, InvertibleProductSymbol):
-            n = self.truncation
-            f1, f2 = (f.resized(n) for f in (sym.f1, sym.f2))
-            f1, f2 = (f.coeffs[: f.degree(0.0) + 1] for f in (f1, f2))
-            full = _multiply_columns(f1, cols, rows=n + f2.size - 1)
-            out += _conj_toeplitz_columns(f2, full, rows=n)
+        if self.symbol_series.coeffs.any():
+            out += toeplitz_columns(self.symbol_series, cols)
         return out
 
     @cached_property
@@ -267,8 +258,9 @@ class Instance:
 
     @cached_property
     def theta(self) -> AnalyticSeries:
-        """Taylor expansion of the inner or conjugated inner symbol."""
-        return blaschke_expand(self.symbol.product, self.truncation)
+        """The inner function: the analytic part of g, or of conj(g) for a conjugate-inner g."""
+        g = self.symbol_series
+        return riesz_project(laurent_conj(g) if isinstance(self.symbol, ConjInnerSymbol) else g)
 
     @cached_property
     def k_theta(self) -> Subspace:
@@ -294,17 +286,14 @@ class Instance:
     def _corrected(self, cols: np.ndarray) -> np.ndarray:
         """The case's corrector applied to every column of an N x k array (not for g = 0).
 
-        T_conj(theta) for an inner symbol, T_{1/f1} T_conj(1/f2) for an
-        invertible product, multiplication by theta for a conjugate-inner
-        symbol.  Each maps T_g x back to x up to ker T_g.
+        T_conj(g), the adjoint of T_g, for a unimodular g (inner or
+        conjugate inner), and T_{1/f1} T_conj(1/f2) for g = f1 conj(f2).
+        Each maps T_g x back to x up to ker T_g.
         """
-        if isinstance(self.symbol, InnerSymbol):
-            return _conj_toeplitz_columns(self.theta.coeffs, cols)
         if isinstance(self.symbol, InvertibleProductSymbol):
-            return _multiply_columns(
-                self.f1_inv.coeffs, _conj_toeplitz_columns(self.f2_inv.coeffs, cols)
-            )
-        return _multiply_columns(self.theta.coeffs, cols)
+            inverted = toeplitz_columns(conj_on_circle(self.f2_inv), cols)
+            return toeplitz_columns(embed(self.f1_inv), inverted)
+        return toeplitz_columns(laurent_conj(self.symbol_series), cols)
 
     @cached_property
     def corrected_v(self) -> np.ndarray:
@@ -386,15 +375,14 @@ class Instance:
 
     @cached_property
     def negative_frame(self) -> np.ndarray:
-        """Orthonormal frame of conj(theta) (model part of u_i), i in the lambda-set.
+        """Orthonormal frame of g (model part of u_i), i in the lambda-set; g = conj(theta).
 
         Read only when the lambda-set is nonempty.  Membership matches the
         divisibility call used by the bound, so numerically-zero parts
         never contribute junk directions.
         """
-        theta_bar = conj_on_circle(self.theta)
         b_vectors = [
-            multiply(theta_bar, embed(self.model_parts[idx - 1])).coeffs
+            multiply(self.symbol_series, embed(self.model_parts[idx - 1])).coeffs
             for idx in sorted(self.lambda_set)
         ]
         q, _ = np.linalg.qr(np.column_stack(b_vectors))
@@ -456,21 +444,6 @@ def theorem_defect_bound(inst: Instance) -> int:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def _multiply_columns(f: np.ndarray, cols: np.ndarray, rows: int | None = None) -> np.ndarray:
-    """Multiplication by the analytic f on every column, cut to rows (default N) coefficients."""
-    return cauchy_product(f, cols, cols.shape[0] if rows is None else rows)
-
-
-def _conj_toeplitz_columns(f: np.ndarray, cols: np.ndarray, rows: int | None = None) -> np.ndarray:
-    """T_conj(f) on every column: coefficient k < rows (default N) is sum_m conj(f[m]) c[k + m].
-
-    That is coefficient k + deg of the product of the reversed conj(f), of
-    length f.size = deg + 1, with the column.
-    """
-    rows = cols.shape[0] if rows is None else rows
-    return cauchy_product(np.conj(f[::-1]), cols, f.size - 1 + rows)[f.size - 1 :]
 
 
 def _backshift_columns(mat: np.ndarray) -> np.ndarray:

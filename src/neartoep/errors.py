@@ -34,3 +34,11 @@ class DegenerateBranchError(InputError):
 
 class ConditioningError(InputError):
     """Subspace operation is too ill-conditioned to trust."""
+
+
+def _as_int(data: dict, key: str, default: int | None = None) -> int:
+    """data[key], or default when given and key is absent, as a JSON integer (not a bool)."""
+    value = data[key] if default is None else data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"field {key!r} must be an integer, got {value!r}")
+    return value

@@ -13,6 +13,7 @@ from .errors import HypothesisViolationError, InputError
 from .series import (
     AnalyticSeries,
     LaurentSeries,
+    cauchy_product,
     conj_on_circle,
     embed,
     multiply,
@@ -105,18 +106,28 @@ def symbol_from_json(data: dict) -> Symbol:
         tag = data["tag"]
     except (KeyError, TypeError) as exc:
         raise InputError("symbol needs a 'tag' field") from exc
+
+    def field(key, reader):
+        """reader(data[key]), naming a missing or malformed field in the InputError."""
+        if not isinstance(data.get(key), dict):
+            raise InputError(f"{tag!r} symbol needs a {key!r} object")
+        try:
+            return reader(data[key])
+        except InputError as exc:
+            raise InputError(f"symbol field {key!r}: {exc}") from exc
+
     if tag == "zero":
         return ZeroSymbol()
     if tag == "trig_poly":
-        return TrigPolySymbol(LaurentSeries.from_json_dict(data["series"]))
+        return TrigPolySymbol(field("series", LaurentSeries.from_json_dict))
     if tag == "inner":
-        return InnerSymbol(BlaschkeProduct.from_json_dict(data["product"]))
+        return InnerSymbol(field("product", BlaschkeProduct.from_json_dict))
     if tag == "conj_inner":
-        return ConjInnerSymbol(BlaschkeProduct.from_json_dict(data["product"]))
+        return ConjInnerSymbol(field("product", BlaschkeProduct.from_json_dict))
     if tag == "invertible_product":
         return InvertibleProductSymbol(
-            AnalyticSeries.from_json_dict(data["f1"]),
-            AnalyticSeries.from_json_dict(data["f2"]),
+            field("f1", AnalyticSeries.from_json_dict),
+            field("f2", AnalyticSeries.from_json_dict),
         )
     raise InputError(f"unknown symbol tag {tag!r}")
 
@@ -263,6 +274,20 @@ def toeplitz_block(g: LaurentSeries, rows: int, cols: int) -> np.ndarray:
     return np.ascontiguousarray(windows[:, ::-1])
 
 
+def toeplitz_columns(g: LaurentSeries, cols: np.ndarray) -> np.ndarray:
+    """T_g applied to every column of an N x k block, for 1 <= N <= g's truncation.
+
+    Row j of T_g x is sum_k g[j - k] x[k]: coefficient j + N - 1 of g's window
+    -(N-1)..N-1 times x.  So the block takes one cauchy_product, and equals
+    toeplitz_block(g, N, N) @ cols without the N x N matrix.
+    """
+    n, rows = g.truncation, cols.shape[0]
+    if not 1 <= rows <= n:
+        raise InputError(f"block of {rows} rows outside truncation {n}")
+    window = g.coeffs[n - rows + 1 : n + rows]
+    return cauchy_product(window, cols, 2 * rows - 1)[rows - 1 :]
+
+
 def toeplitz_matrix(g: LaurentSeries) -> OperatorMatrix:
     """Matrix with entry (j, k) equal to the Fourier coefficient of g at j - k."""
     return OperatorMatrix(toeplitz_block(g, g.truncation, g.truncation), g.truncation)
@@ -314,9 +339,7 @@ def toeplitz_product_residual(psi: Symbol, phi: Symbol, truncation: int) -> floa
         raise HypothesisViolationError(
             "product identity needs a co-analytic left or analytic right symbol"
         )
-    tpsi = toeplitz_matrix(gpsi).entries
-    tphi = toeplitz_matrix(gphi).entries
-    tprod = toeplitz_matrix(multiply(gpsi, gphi)).entries
-    half = truncation // 2
-    defect = tpsi @ tphi[:, :half] - tprod[:, :half]
+    n, half = truncation, truncation // 2
+    tprod = toeplitz_block(multiply(gpsi, gphi), n, half)
+    defect = toeplitz_columns(gpsi, toeplitz_block(gphi, n, half)) - tprod
     return float(np.linalg.norm(defect, 2))

@@ -17,7 +17,7 @@ import numpy as np
 from .cgp import CONSTRAINT_TOL, check_corollary
 # No check here reads CONTAINMENT_TOL; the benchmark reads it as runner.CONTAINMENT_TOL.
 from .defects import CONTAINMENT_TOL, WITNESS_KERNEL_TOL, Instance, check_defect_theorem
-from .errors import HeadroomError, InputError
+from .errors import HeadroomError, InputError, _as_int
 from .operators import (
     ConjInnerSymbol,
     InnerSymbol,
@@ -61,13 +61,6 @@ def max_input_degree(sym: Symbol, pert: PerturbationSpec) -> int:
 
 def required_truncation(sym: Symbol, pert: PerturbationSpec) -> int:
     return 2 * max_input_degree(sym, pert) + HEADROOM_MARGIN
-
-
-def _as_int(data: dict, key: str, default: int) -> int:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"scenario field {key!r} must be an integer")
-    return value
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from .errors import (
     InputError,
     NotInvertibleError,
     TruncationMismatchError,
+    _as_int,
 )
 
 COEFF_TRIM_TOL = 1e-300
@@ -141,7 +142,7 @@ class AnalyticSeries:
     @classmethod
     def from_json_dict(cls, data: dict) -> "AnalyticSeries":
         try:
-            n = int(data["truncation"])
+            n = _as_int(data, "truncation")
             coeffs = [complex(re, im) for re, im in data["coeffs"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed analytic series: {exc}") from exc
@@ -217,8 +218,8 @@ class LaurentSeries:
     @classmethod
     def from_json_dict(cls, data: dict) -> "LaurentSeries":
         try:
-            n = int(data["truncation"])
-            start = int(data.get("coeffs_from", -n))
+            n = _as_int(data, "truncation")
+            start = _as_int(data, "coeffs_from", -n)
             coeffs = [complex(re, im) for re, im in data["coeffs"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed laurent series: {exc}") from exc

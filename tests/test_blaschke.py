@@ -1,5 +1,7 @@
 """Blaschke products: expansions, boundary modulus, JSON round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -86,3 +88,14 @@ def test_json_round_trip():
     assert again == b
     with pytest.raises(InputError):
         BlaschkeProduct.from_json_dict({"zeros": [{"point": [0.1]}]})
+
+
+def test_numpy_integer_fields_build_and_round_trip_as_json_integers():
+    # the JSON reader takes JSON integers only; the constructor still takes numpy's
+    b = BlaschkeProduct(zeros=((0.3, np.int64(2)),), z_power=np.int32(1))
+    data = json.loads(json.dumps(b.to_json_dict()))
+    assert BlaschkeProduct.from_json_dict(data) == b
+    bad_zero = {"point": [0.1, 0.0], "multiplicity": "1"}
+    for bad in ({"z_power": 1.0}, {"z_power": False}, {"zeros": [bad_zero]}, [0.3, 1]):
+        with pytest.raises(InputError):
+            BlaschkeProduct.from_json_dict(bad)

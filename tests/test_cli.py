@@ -10,7 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_calls, disk_invertible_poly, linalg_calls, seeded_perturbation
+from conftest import (
+    count_calls,
+    disk_invertible_poly,
+    linalg_calls,
+    seeded_perturbation,
+    svd_kernel,
+)
 from neartoep import defects, subspaces
 from neartoep.blaschke import BlaschkeProduct, blaschke_expand
 from neartoep.cli import main
@@ -299,6 +305,61 @@ def test_cli_exit_two_on_schema_and_invariant_errors(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
 
+    # a malformed symbol object, or an integer field that is not a JSON
+    # integer, is a schema error that names the field
+    for name, edit, field in SYMBOL_SCHEMA_ERRORS:
+        data = basic_scenario_dict()
+        edit(data)
+        path = write(tmp_path, f"{name}.json", data)
+        assert main(["run", path]) == 2, name
+        assert repr(field) in capsys.readouterr().err, name
+
+
+def _set_symbol(data, symbol):
+    data["symbol"] = symbol
+
+
+def _set_product(data, key, value):
+    data["symbol"]["product"][key] = value
+
+
+def _set_multiplicity(data, value):
+    data["symbol"]["product"]["zeros"][0]["multiplicity"] = value
+
+
+def _set_u_truncation(data, value):
+    data["perturbation"]["terms"][0]["u"]["truncation"] = value
+
+
+def _trig_series(coeffs_from):
+    return {"truncation": 1, "coeffs_from": coeffs_from, "coeffs": [[1, 0], [0, 0], [0, 0]]}
+
+
+SYMBOL_SCHEMA_ERRORS = [
+    ("no-product", lambda d: d["symbol"].pop("product"), "product"),
+    ("product-list", lambda d: _set_symbol(d, {"tag": "inner", "product": [0.3, 1]}), "product"),
+    (
+        "no-f2",
+        lambda d: _set_symbol(
+            d, {"tag": "invertible_product", "f1": {"truncation": 1, "coeffs": [[1, 0]]}}
+        ),
+        "f2",
+    ),
+    ("no-series", lambda d: _set_symbol(d, {"tag": "trig_poly"}), "series"),
+    ("z-power-float", lambda d: _set_product(d, "z_power", 1.9), "z_power"),
+    ("z-power-bool", lambda d: _set_product(d, "z_power", True), "z_power"),
+    ("multiplicity-float", lambda d: _set_multiplicity(d, 1.5), "multiplicity"),
+    ("multiplicity-string", lambda d: _set_multiplicity(d, "2"), "multiplicity"),
+    # 4.5 and "4" would both be read as the 4 coefficients the series holds
+    ("truncation-float", lambda d: _set_u_truncation(d, 4.5), "truncation"),
+    ("truncation-string", lambda d: _set_u_truncation(d, "4"), "truncation"),
+    (
+        "coeffs-from-float",
+        lambda d: _set_symbol(d, {"tag": "trig_poly", "series": _trig_series(-1.0)}),
+        "coeffs_from",
+    ),
+]
+
 
 def test_cli_defect_command(tmp_path, capsys):
     path = write(tmp_path, "scenario.json", basic_scenario_dict())
@@ -381,6 +442,39 @@ def test_cli_kernel_command(tmp_path, capsys):
     assert payload["column_cap"] == N // 2
     assert payload["ambiguous_singular_values"] == []
     assert payload["window_tail"] == run_kernel["window_tail"] < WITNESS_KERNEL_TOL
+
+
+def trig_scenario_dict():
+    # g = conj(z)^4 + 0.3i conj(z)^5 with the rank-one README perturbation
+    data = basic_scenario_dict("trig-demo")
+    coeffs = [[0.0, 0.0] for _ in range(11)]
+    coeffs[5 - 4], coeffs[5 - 5] = [1.0, 0.0], [0.0, 0.3]
+    data["symbol"] = {
+        "tag": "trig_poly",
+        "series": {"truncation": 5, "coeffs_from": -5, "coeffs": coeffs},
+    }
+    data["checks"] = ["kernel"]
+    return data
+
+
+def test_cli_kernel_and_run_on_a_trig_poly_scenario(tmp_path, capsys):
+    data = trig_scenario_dict()
+    path = write(tmp_path, "trig.json", data)
+    out, run_out = tmp_path / "kernel.json", tmp_path / "run.json"
+    assert main(["kernel", path, "--json-out", str(out)]) == 0
+    assert main(["run", path, "--json-out", str(run_out)]) == 0
+    capsys.readouterr()
+    kernel = json.loads(out.read_text())["kernel"]
+    assert kernel["dim"] == 4
+    frame = np.array([[complex(re, im) for re, im in col] for col in kernel["frame"]]).T
+    reference = svd_kernel(scenarios_from_json(data)[0].instance())
+    assert reference.dim == 4
+    # every principal angle between the two spans is zero
+    cosines = np.linalg.svd(frame.conj().T @ reference.frame, compute_uv=False)
+    assert np.all(np.abs(cosines - 1.0) <= 1e-12)
+    report = json.loads(run_out.read_text())["scenarios"][0]
+    assert report["passed"] and report["stability"]["kernel_dim_doubled"] == 4
+    assert report["outcomes"][0]["details"]["kernel_dim"] == 4
 
 
 @pytest.mark.parametrize(

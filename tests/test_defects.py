@@ -381,6 +381,10 @@ def _equivalence_instance(case):
     if case == "conj_inner":
         theta = BlaschkeProduct.from_points([0.3, -0.4j], z_power=1)
         return Instance(ConjInnerSymbol(theta), pert, N)
+    if case == "trig_poly":
+        coeffs = rng.standard_normal(11) + 1j * rng.standard_normal(11)
+        series = LaurentSeries.from_pairs(zip(range(-5, 6), coeffs), 8)
+        return Instance(TrigPolySymbol(series), pert, N)
     theta = BlaschkeProduct(z_power=2)  # conj_inner with every u_i divisible by theta
     u = multiply_analytic(blaschke_expand(theta, N), unit([1.0, 0.3]))
     pert = PerturbationSpec(((u * (1.0 / u.norm()), AnalyticSeries.monomial(1, N)),))
@@ -447,7 +451,7 @@ def test_containment_fails_when_f_loses_a_direction(monkeypatch, case):
 
 
 @pytest.mark.parametrize("empty", [False, True], ids=["seeded", "empty"])
-@pytest.mark.parametrize("case", FAMILY_CASES)
+@pytest.mark.parametrize("case", FAMILY_CASES + ["trig_poly"])
 def test_apply_matches_the_dense_operator(case, empty):
     inst = _equivalence_instance(case)
     if empty:
@@ -458,6 +462,32 @@ def test_apply_matches_the_dense_operator(case, empty):
     expected = inst.operator.entries @ cols
     assert got.shape == expected.shape
     assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("family", [InnerSymbol, ConjInnerSymbol])
+def test_theta_is_the_blaschke_expansion_bit_for_bit(family):
+    # theta is read off the symbol's Fourier window, not expanded again
+    product = BlaschkeProduct.from_points([0.3, -0.4j], z_power=2, const=np.exp(0.7j))
+    inst = Instance(family(product), PerturbationSpec(()), N)
+    for one in (inst, inst.doubled):
+        expected = blaschke_expand(product, one.truncation).coeffs
+        assert np.array_equal(one.theta.coeffs, expected)
+
+
+@pytest.mark.parametrize("case", FAMILY_CASES)
+def test_each_instance_reads_the_symbol_fourier_window_once(monkeypatch, case):
+    n = 128
+    sym, pert = _seeded_case(case, n)
+    (u, v), _ = pert.terms
+    # one term with a unit v, so every check applies
+    scenario = Scenario(sym, PerturbationSpec(((u, v * (1.0 / v.norm())),)), truncation=n)
+    calls = count_calls(monkeypatch, operators, "symbol_fourier")
+    run_scenario(scenario, stabilize=True)
+    # One call per Instance: the four checks share the one at N.  The 2N
+    # audit's doubled instance makes its own where it applies a T_g (the
+    # unimodular correctors); the zero and invertible audits read no window.
+    expected = [n] if case in ("zero", "invertible") else [n, 2 * n]
+    assert [args[1] for args, _ in calls] == expected
 
 
 def _conj_toeplitz_series(f, h):
@@ -518,70 +548,6 @@ def test_corrector_makes_no_series_product_calls(monkeypatch, case):
     assert inst.shifted_images.shape == (N, inst.perturbation.rank_bound)
     assert inst.structured_kernel.space.dim > 0
     assert [len(c) for c in calls] == [0, 0, 0]
-
-
-def _loop_multiply_columns(f, cols, rows=None):
-    """Multiplication by f column by column with np.convolve: the reference
-    for the batched defects._multiply_columns."""
-    rows = cols.shape[0] if rows is None else rows
-    out = np.zeros((rows, cols.shape[1]), dtype=np.complex128)
-    for j in range(cols.shape[1]):
-        full = np.convolve(f, cols[:, j])[:rows]
-        out[: full.size, j] = full
-    return out
-
-
-def _loop_conj_toeplitz_columns(f, cols, rows=None):
-    """T_conj(f) column by column with np.correlate: the reference for the
-    batched defects._conj_toeplitz_columns (rows at most the column length)."""
-    rows = cols.shape[0] if rows is None else rows
-    out = np.zeros((rows, cols.shape[1]), dtype=np.complex128)
-    for j in range(cols.shape[1]):
-        out[:, j] = np.correlate(cols[:, j], f, "full")[f.size - 1 : f.size - 1 + rows]
-    return out
-
-
-def _random_columns(rng, rows, cols, support=None):
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    k = rows if support is None else support
-    out[:k] = rng.standard_normal((k, cols)) + 1j * rng.standard_normal((k, cols))
-    return out
-
-
-@pytest.mark.parametrize(
-    "f_size, f_support, n, k, col_support",
-    [
-        (4, 4, 64, 3, None),  # f1 of apply: rows past the column length below
-        (9, 9, 1024, 2, 9),  # short by short inside a long window: exact zeros
-        (1024, 1024, 1024, 3, 9),  # theta by polynomial v_i: np.convolve
-        (512, 512, 512, 3, None),  # long by long: one batched FFT
-        (1024, 700, 1024, 1, 1000),  # supports cut short by underflowed tails
-        (256, 256, 256, 0, None),  # no columns
-    ],
-)
-def test_column_helpers_match_the_per_column_loops(f_size, f_support, n, k, col_support):
-    rng = np.random.default_rng([f_size, n, k])
-    f = _random_columns(rng, f_size, 1, f_support)[:, 0]
-    cols = _random_columns(rng, n, k, col_support)
-    deg = f_support - 1
-    for rows in (None, n + deg, n // 2):
-        cases = [(defects._multiply_columns, _loop_multiply_columns)]
-        if rows is None or rows <= n:
-            cases.append((defects._conj_toeplitz_columns, _loop_conj_toeplitz_columns))
-        for helper, loop in cases:
-            got, want = helper(f, cols, rows), loop(f, cols, rows)
-            assert got.shape == want.shape
-            # exact zeros stay exact
-            assert np.array_equal(got == 0, want == 0)
-            scale = np.linalg.norm(f) * np.linalg.norm(cols, axis=0)
-            assert np.all(np.linalg.norm(got - want, axis=0) <= 1e-14 * scale)
-    # apply's invertible pair: f1 x on n + deg f2 rows, then T_conj(f2) back to n
-    f2 = _random_columns(rng, 4, 1)[:, 0]
-    full = defects._multiply_columns(f, cols, rows=n + f2.size - 1)
-    got = defects._conj_toeplitz_columns(f2, full, rows=n)
-    want = _loop_conj_toeplitz_columns(f2, _loop_multiply_columns(f, cols, n + f2.size - 1), n)
-    assert np.array_equal(got == 0, want == 0)
-    assert np.linalg.norm(got - want) <= 1e-13 * max(np.linalg.norm(want), 1e-300)
 
 
 def _singular_pairing_instance(sym, corrector):

@@ -19,6 +19,7 @@ from neartoep.operators import (
     symbol_fourier,
     symbol_from_json,
     toeplitz_block,
+    toeplitz_columns,
     toeplitz_matrix,
     toeplitz_product_residual,
 )
@@ -67,6 +68,84 @@ def test_toeplitz_block_matches_scipy_toeplitz_exactly(n, rows, cols):
 def test_toeplitz_block_outside_the_truncation_is_rejected(rows, cols):
     with pytest.raises(InputError):
         toeplitz_block(LaurentSeries.zero(8), rows, cols)
+
+
+def _loop_multiply_columns(f, cols):
+    """Multiplication by the analytic f, cut to the column length, column by
+    column with np.convolve."""
+    out = np.zeros(cols.shape, dtype=np.complex128)
+    for j in range(cols.shape[1]):
+        full = np.convolve(f, cols[:, j])[: cols.shape[0]]
+        out[: full.size, j] = full
+    return out
+
+
+def _loop_conj_toeplitz_columns(f, cols):
+    """T_conj(f) for the analytic f, column by column with np.correlate."""
+    out = np.zeros(cols.shape, dtype=np.complex128)
+    for j in range(cols.shape[1]):
+        out[:, j] = np.correlate(cols[:, j], f, "full")[f.size - 1 : f.size - 1 + cols.shape[0]]
+    return out
+
+
+def _random_columns(rng, rows, cols, support=None):
+    out = np.zeros((rows, cols), dtype=np.complex128)
+    k = rows if support is None else support
+    out[:k] = rng.standard_normal((k, cols)) + 1j * rng.standard_normal((k, cols))
+    return out
+
+
+def _column_windows(f, n):
+    """(name, g, a, b) for T_g = T_a + T_conj(b) with a, b analytic:
+    analytic, co-analytic, mixed and zero windows at truncation n built on f."""
+    tail = f.copy()
+    tail[0] = 0.0
+    zero = np.zeros(1, dtype=np.complex128)
+    analytic = np.zeros(2 * n + 1, dtype=np.complex128)
+    analytic[n : n + f.size] = f
+    coanalytic = np.zeros(2 * n + 1, dtype=np.complex128)
+    coanalytic[n - f.size + 1 : n + 1] = np.conj(f[::-1])
+    mixed = analytic.copy()
+    mixed[n - f.size + 1 : n] = np.conj(tail[:0:-1])
+    return [
+        ("analytic", LaurentSeries(analytic, n), f, zero),
+        ("co-analytic", LaurentSeries(coanalytic, n), zero, f),
+        ("mixed", LaurentSeries(mixed, n), f, tail),
+        ("zero", LaurentSeries.zero(n), zero, zero),
+    ]
+
+
+@pytest.mark.parametrize(
+    "f_size, f_support, n, k, col_support",
+    [
+        (4, 4, 64, 3, None),  # a short symbol on full columns
+        (9, 9, 1024, 2, 9),  # short by short inside a long window: exact zeros
+        (1024, 1024, 1024, 3, 9),  # theta by polynomial v_i: np.convolve
+        (512, 512, 512, 3, None),  # long by long: one batched FFT
+        (1024, 700, 1024, 1, 1000),  # supports cut short by underflowed tails
+        (256, 256, 256, 0, None),  # no columns
+    ],
+)
+def test_toeplitz_columns_match_the_per_column_loops(f_size, f_support, n, k, col_support):
+    rng = np.random.default_rng([f_size, n, k])
+    f = _random_columns(rng, f_size, 1, f_support)[:, 0]
+    cols = _random_columns(rng, n, k, col_support)
+    for name, g, a, b in _column_windows(f, n):
+        got = toeplitz_columns(g, cols)
+        want = _loop_multiply_columns(a, cols) + _loop_conj_toeplitz_columns(b, cols)
+        assert got.shape == want.shape == (n, k), name
+        # exact zeros stay exact
+        assert np.array_equal(got == 0, want == 0), name
+        scale = np.linalg.norm(g.coeffs) * np.linalg.norm(cols, axis=0)
+        assert np.all(np.linalg.norm(got - want, axis=0) <= 1e-14 * scale), name
+        dense = toeplitz_block(g, n, n) @ cols
+        assert np.all(np.linalg.norm(got - dense, axis=0) <= 1e-13 * scale), name
+
+
+@pytest.mark.parametrize("rows", [0, 9])
+def test_toeplitz_columns_outside_the_truncation_is_rejected(rows):
+    with pytest.raises(InputError):
+        toeplitz_columns(LaurentSeries.zero(8), np.ones((rows, 2)))
 
 
 def test_adjoint_is_conjugate_symbol_exactly():
